@@ -10,8 +10,8 @@ that sign.
 
 from __future__ import annotations
 
-from .polynomials import (LaurentPolynomial, ONE, add, det, eshift, mul, neg,
-                          smul, sub, z_extract)
+from .polynomials import (LaurentPolynomial, ONE, add, alexander_sign, det,
+                          eshift, mul, smul, sub, z_extract)
 from .words import BraidWord
 
 
@@ -96,10 +96,7 @@ def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
         return LaurentPolynomial.from_dict({}, scale=2)
     lo2, hi2 = 2 * min(d), 2 * max(d)
     centered = {2 * e - (lo2 + hi2) // 2: c for e, c in d.items()}
-    total = sum(centered.values())
-    if total < 0 or (total == 0 and centered[max(centered)] < 0):
-        centered = neg(centered)
-    return LaurentPolynomial.from_dict(centered, scale=2)
+    return LaurentPolynomial.from_dict(alexander_sign(centered), scale=2)
 
 
 def conway_via_burau(w: BraidWord):

@@ -21,7 +21,7 @@ from .enumeration import (SearchSpace, bound_n, bound_p, classify,
 from .errors import (BraidSyntaxError, CapExceededError,
                      DisconnectedWordError, InhomogeneousWordError)
 from .jones import JONES_LENGTH_CAP, jones_kauffman
-from .monodromy import (action_of_word, char_poly, matrix_order,
+from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
                         twist_sequence)
 from .polynomials import ConwayPolynomial, equal_up_to_unit
@@ -53,7 +53,6 @@ class RunConfig:
     out_path: str | None = None
     json_path: str | None = None
     csv_path: str | None = None
-    threads: int = 1
 
 
 def _emit(text=""):
@@ -118,10 +117,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
         report["conway_seifert"] = surface.to_json()
         report["routes_agree"] = skein == surface
 
+    jones = None
     if len(w.letters) <= cfg.kauffman_cap:
-        report["jones"] = jones_kauffman(w, cfg.kauffman_cap).to_json()
-    else:
-        report["jones"] = None
+        jones = jones_kauffman(w, cfg.kauffman_cap)
+    report["jones"] = None if jones is None else jones.to_json()
 
     if cfg.fmt == "json":
         _emit(json.dumps(report, sort_keys=True))
@@ -149,10 +148,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
         _emit("word is not homogeneous: conway/degree formulas need a "
               "homogeneous word, reporting determinant-route alexander only")
     _emit(f"alexander (symmetric): {alex}")
-    if report["jones"] is None:
+    if jones is None:
         _emit(f"jones: skipped (length over cap {cfg.kauffman_cap})")
     else:
-        _emit(f"jones: {jones_kauffman(w, cfg.kauffman_cap)}")
+        _emit(f"jones: {jones}")
     return EXIT_OK
 
 
@@ -211,7 +210,7 @@ def cmd_monodromy(cfg: RunConfig) -> int:
     norm = normalize_nonweak(w)
     seq = twist_sequence(norm)
     V = seifert_matrix(build_surface(norm))
-    act = action_of_word(norm)
+    act = homology_action(seq, V.intersection_form())
     seif_act = monodromy_from_seifert(V)
     cp = char_poly(act)
     alex = alexander_from_seifert(V)
@@ -258,36 +257,40 @@ def cmd_monodromy(cfg: RunConfig) -> int:
 
 
 def cmd_verify_table(cfg: RunConfig) -> int:
-    from .reference import entry_to_json, parse_entry, verify_entry
+    from .reference import parse_entry, verify_entry, write_table
 
     path = cfg.table_path
+    out_path = cfg.out_path or (path + ".verified")
+    if os.path.realpath(out_path) == os.path.realpath(path):
+        return _fail(EXIT_PARSE, f"--out {out_path} is the input table; "
+                                 "verify-table never rewrites its input")
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         return _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
 
-    out_path = cfg.out_path or (path + ".verified")
     results = []
+    entries = []
     ok_count = fail_count = bad_lines = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for ln, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = parse_entry(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                bad_lines += 1
-                results.append(f"line {ln}: malformed entry skipped ({exc})")
-                continue
-            new, detail = verify_entry(entry)
-            if new.verified:
-                ok_count += 1
-            else:
-                fail_count += 1
-            results.append(f"{new.name}: "
-                           f"{'ok' if new.verified else 'FAIL'} ({detail})")
-            fh.write(json.dumps(entry_to_json(new), sort_keys=True) + "\n")
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = parse_entry(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            bad_lines += 1
+            results.append(f"line {ln}: malformed entry skipped ({exc})")
+            continue
+        new, detail = verify_entry(entry)
+        if new.verified:
+            ok_count += 1
+        else:
+            fail_count += 1
+        results.append(f"{new.name}: "
+                       f"{'ok' if new.verified else 'FAIL'} ({detail})")
+        entries.append(new)
+    write_table(entries, out_path)
 
     for line in results:
         _emit(line)
@@ -352,11 +355,6 @@ def _build_parser():
 
 
 def _config_from_args(args) -> RunConfig:
-    threads = 1
-    try:
-        threads = max(1, int(os.environ.get("HOMOLINK_THREADS", "1")))
-    except ValueError:
-        pass
     return RunConfig(
         subcommand=args.subcommand,
         word_text=getattr(args, "word", ""),
@@ -370,7 +368,6 @@ def _config_from_args(args) -> RunConfig:
         out_path=getattr(args, "out_path", None),
         json_path=getattr(args, "json_path", None),
         csv_path=getattr(args, "csv_path", None),
-        threads=threads,
     )
 
 

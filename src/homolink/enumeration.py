@@ -15,8 +15,6 @@ entries are treated as table defects rather than merged silently.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapExceededError, TableDefectError
@@ -215,21 +213,6 @@ class ClassificationReport:
         return len(self.classes)
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("HOMOLINK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _signatures(reps):
-    threads = _thread_count()
-    if threads == 1 or len(reps) < 4:
-        return [link_signature(w) for w in reps]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(link_signature, reps))
-
-
 def classify(space: SearchSpace) -> ClassificationReport:
     """Orbit representatives grouped by signature, matched by name.
 
@@ -240,13 +223,13 @@ def classify(space: SearchSpace) -> ClassificationReport:
     from .reference import entry_signature, load_reference_table
 
     reps = symmetry_reduce(enumerate_words(space))
-    sigs = _signatures(reps)
+    sigs = [link_signature(w) for w in reps]
 
     expected = 2 * space.parameter if space.knots_only else space.parameter
     for w, sig in zip(reps, sigs):
-        assert sig.conway_degree == expected, (
-            f"degree cross-check failed on {w}: "
-            f"{sig.conway_degree} != {expected}")
+        if sig.conway_degree != expected:
+            raise RuntimeError(f"degree cross-check failed on {w}: "
+                               f"{sig.conway_degree} != {expected}")
 
     groups = {}
     for w, sig in zip(reps, sigs):

@@ -16,7 +16,6 @@ test pins it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import DisconnectedWordError, InhomogeneousWordError
@@ -26,6 +25,16 @@ from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
                     sign_map, split_factors)
 
 _EPS = 1  # transvection sign for a positive twist, calibrated
+
+
+def _transpose(A):
+    return tuple(zip(*A))
+
+
+def _matmul(A, B):
+    cols = _transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in A)
 
 
 @dataclass(frozen=True)
@@ -59,15 +68,9 @@ class HomologyAction:
         return len(self.matrix)
 
     def preserves_form(self) -> bool:
-        M, J = self.matrix, self.intersection_form
-        k = len(M)
-        for a in range(k):
-            for b in range(k):
-                v = sum(M[r][a] * J[r][c] * M[c][b]
-                        for r in range(k) for c in range(k))
-                if v != J[a][b]:
-                    return False
-        return True
+        M = self.matrix
+        return _matmul(_matmul(_transpose(M), self.intersection_form),
+                       M) == self.intersection_form
 
     def determinant(self) -> int:
         wrapped = [[{0: v} if v else {} for v in row] for row in self.matrix]
@@ -121,38 +124,36 @@ def homology_action(seq: TwistSequence, J) -> HomologyAction:
 
 
 def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
-    """The matrix V^(-1) V^T; V is unimodular for fibred data."""
+    """The matrix V^(-1) V^T; V is unimodular for fibred data.
+
+    Fraction-free Gauss-Jordan (Bareiss) on the integer block [V | V^T]:
+    every step's division is exact, and the left block ends as d*I with
+    d = +-det V, so the answer is the right block divided by d.
+    """
     k = V.dimension
     E = V.entries
-    aug = [[Fraction(E[r][c]) for c in range(k)] +
-           [Fraction(1 if r == c else 0) for c in range(k)]
-           for r in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
+    rows = [list(E[r]) + list(col) for r, col in enumerate(_transpose(E))]
+    prev = 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if rows[r][c]), None)
         if piv is None:
             raise RuntimeError(
                 "Seifert matrix is singular; fibred data must be unimodular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
+        rows[c], rows[piv] = rows[piv], rows[c]
+        pivot = rows[c]
+        p = pivot[c]
         for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = [row[k:] for row in aug]
-    M = []
-    for r in range(k):
-        out = []
-        for c in range(k):
-            v = sum(inv[r][l] * E[c][l] for l in range(k))
-            if v.denominator != 1:
-                raise RuntimeError(
-                    "Seifert matrix is not unimodular; fibred data cannot "
-                    "produce fractional monodromy entries")
-            out.append(int(v))
-        M.append(tuple(out))
-    J = V.intersection_form()
-    return HomologyAction(tuple(M), J, V.loops)
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(p * a - f * b) // prev
+                           for a, b in zip(rows[r], pivot)]
+        prev = p
+    if any(v % prev for row in rows for v in row[k:]):
+        raise RuntimeError(
+            "Seifert matrix is not unimodular; fibred data cannot "
+            "produce fractional monodromy entries")
+    M = tuple(tuple(v // prev for v in row[k:]) for row in rows)
+    return HomologyAction(M, V.intersection_form(), V.loops)
 
 
 def action_of_word(w: BraidWord) -> HomologyAction:
@@ -184,10 +185,8 @@ def matrix_order(action: HomologyAction, cap: int = 512):
     k = action.dimension
     ident = tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
     P = ident
-    M = action.matrix
     for order in range(1, cap + 1):
-        P = tuple(tuple(sum(P[r][l] * M[l][c] for l in range(k))
-                        for c in range(k)) for r in range(k))
+        P = _matmul(P, action.matrix)
         if P == ident:
             return order
     return None

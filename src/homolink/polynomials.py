@@ -136,6 +136,15 @@ def units_equal(p, q):
     return p == shifted or p == neg(shifted)
 
 
+def alexander_sign(d):
+    """d or -d, whichever is positive at t = 1; when that value is 0 (links),
+    whichever has a positive leading coefficient."""
+    total = sum(d.values())
+    if total < 0 or (total == 0 and d and d[max(d)] < 0):
+        return neg(d)
+    return d
+
+
 def _sorted_items(coeffs):
     return tuple(sorted((int(e), int(c)) for e, c in coeffs.items() if c))
 

@@ -11,6 +11,8 @@ this module, one JSON object per line.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -74,9 +76,19 @@ def load_reference_table(path=None) -> list:
 
 
 def write_table(entries, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry_to_json(entry), sort_keys=True) + "\n")
+    """Write entries as JSONL, atomically: a temp file in the target's
+    directory replaces path only once it is complete."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for entry in entries:
+                fh.write(json.dumps(entry_to_json(entry), sort_keys=True)
+                         + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @lru_cache(maxsize=None)

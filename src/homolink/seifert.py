@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedWordError, InhomogeneousWordError
-from .polynomials import (ConwayPolynomial, LaurentPolynomial, det, neg,
-                          z_extract)
+from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
+                          det, z_extract)
 from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
                     sign_map, split_factors)
 
@@ -192,13 +192,8 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPolynomial:
     Sign is fixed so the value at t = 1 is positive when nonzero (knots),
     falling back to a positive leading coefficient (links).
     """
-    sym = _symmetrized_det(V)
-    if not sym:
-        return LaurentPolynomial.from_dict({}, scale=2)
-    total = sum(sym.values())
-    if total < 0 or (total == 0 and sym[max(sym)] < 0):
-        sym = neg(sym)
-    return LaurentPolynomial.from_dict(sym, scale=2)
+    return LaurentPolynomial.from_dict(alexander_sign(_symmetrized_det(V)),
+                                       scale=2)
 
 
 def surface_conway(w: BraidWord) -> ConwayPolynomial:

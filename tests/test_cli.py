@@ -122,6 +122,28 @@ def test_monodromy_normalizes_weak_words(capsys):
     assert "normalized to [1 1] on 2 strands" in out
 
 
+def test_commands_build_each_object_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from homolink import cli, monodromy
+    calls = Counter()
+    for mod in (cli, monodromy):
+        for name in ("build_surface", "seifert_matrix", "twist_sequence",
+                     "jones_kauffman"):
+            fn = getattr(mod, name, None)
+            if fn is not None:
+                def counted(*args, _fn=fn, _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(mod, name, counted)
+    assert run(capsys, "monodromy", "1 -2 1 -2")[0] == EXIT_OK
+    assert calls == {"build_surface": 1, "seifert_matrix": 1,
+                     "twist_sequence": 1}
+    calls.clear()
+    assert run(capsys, "analyze", "1 -2 1 -2")[0] == EXIT_OK
+    assert calls["jones_kauffman"] == 1
+
+
 def test_monodromy_error_codes(capsys):
     code, _, err = run(capsys, "monodromy", "1 -1")
     assert code == EXIT_INHOMOGENEOUS
@@ -219,6 +241,23 @@ def test_verify_table_custom_out(tmp_path, capsys):
                        "--out", str(out_path))
     assert code == EXIT_OK
     assert out_path.exists()
+
+
+def test_verify_table_refuses_out_equal_to_input(tmp_path, capsys):
+    table = tmp_path / "t.jsonl"
+    table.write_text(json.dumps(entry_to_json(find_entry("hopf"))) + "\n"
+                     + "{\"name\": \"broken\"\n", encoding="utf-8")
+    before = table.read_bytes()
+    same = tmp_path / "sub" / ".." / "t.jsonl"
+    (tmp_path / "sub").mkdir()
+    for out in (table, same):
+        code, out_text, err = run(capsys, "verify-table", str(table),
+                                  "--out", str(out))
+        assert code == EXIT_PARSE
+        assert "never rewrites its input" in err
+        assert out_text == ""
+        assert table.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "t.jsonl"]
 
 
 def test_verify_table_empty_file(tmp_path, capsys):

@@ -155,6 +155,26 @@ def test_classify_genus_one():
     assert all(c.signature.component_count == 1 for c in report.classes)
 
 
+def test_classify_degree_cross_check_raises(monkeypatch):
+    from homolink import enumeration
+    monkeypatch.setattr(enumeration, "link_signature",
+                        lambda w: LinkSignature(1, ((0, 1),), ()))
+    with pytest.raises(RuntimeError, match="degree cross-check"):
+        classify(SearchSpace(degree=1))
+
+
+def test_package_has_no_assert_statements():
+    # runtime checks must survive python -O, which strips assert
+    import ast
+    from pathlib import Path
+
+    import homolink
+    for path in sorted(Path(homolink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not found, f"{path.name} has assert on lines {found}"
+
+
 def test_membership():
     assert check_membership(find_entry("3_1"), SearchSpace(genus=1))
     assert check_membership(find_entry("unknot"), SearchSpace(degree=0))

@@ -82,6 +82,20 @@ def test_seifert_route_rejects_singular():
         monodromy_from_seifert(broken)
 
 
+def test_seifert_route_rejects_fractional_entries():
+    V = seifert_matrix(build_surface(parse_word("1 1 1")))
+    with pytest.raises(RuntimeError):
+        monodromy_from_seifert(type(V)(((2, 1), (0, 1)), V.loops))
+    # det 2 but V^(-1) V^T = I is integral, so it is returned as is
+    act = monodromy_from_seifert(type(V)(((2, 0), (0, 1)), V.loops))
+    assert act.matrix == ((1, 0), (0, 1))
+
+
+def test_preserves_form_detects_non_symplectic_matrix():
+    act = HomologyAction(((2, 0), (0, 1)), ((0, 1), (-1, 0)), ((1, 1), (1, 2)))
+    assert not act.preserves_form()
+
+
 def test_char_poly_matches_alexander_up_to_unit():
     for text in ["1 1 1", "1 -2 1 -2", "1 1 2 2", "1 1 -2 1 -2"]:
         w = parse_word(text)
