@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: analyze, enumerate, monodromy, verify-table, bounds.
-Exit codes: 0 success, 2 parse failure, 3 disconnected word (split factors
-listed), 4 inhomogeneous input where homogeneity is required, 5 work cap
-exceeded. Output is deterministic for a fixed configuration; JSON reports
-carry a "schema": 1 version field and all file I/O is UTF-8.
+Exit codes: 0 success, 2 parse failure or an output file that cannot be
+written, 3 disconnected word (split factors listed), 4 inhomogeneous input
+where homogeneity is required, 5 work cap exceeded. Output is deterministic
+for a fixed configuration; JSON reports carry a "schema": 1 version field,
+all file I/O is UTF-8 and every file is written atomically.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .burau import alexander_via_burau
 from .enumeration import (SearchSpace, bound_n, bound_p, classify,
@@ -25,6 +25,7 @@ from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
                         twist_sequence)
 from .polynomials import ConwayPolynomial, equal_up_to_unit
+from .reference import parse_entry, verify_entry, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
@@ -37,22 +38,6 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_INHOMOGENEOUS = 4
 EXIT_CAP = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    word_text: str = ""
-    strands: int | None = None
-    degree: int | None = None
-    genus: int | None = None
-    fmt: str = "text"
-    kauffman_cap: int = JONES_LENGTH_CAP
-    search_cap: int = 6
-    table_path: str | None = None
-    out_path: str | None = None
-    json_path: str | None = None
-    csv_path: str | None = None
 
 
 def _emit(text=""):
@@ -68,18 +53,32 @@ def _word_str(w: BraidWord) -> str:
     return " ".join(str(x) for x in w.letters)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def _disconnected(w: BraidWord) -> int:
+    sys.stderr.write("disconnected word; split closure with factors:\n")
+    for f in split_factors(w):
+        sys.stderr.write(f"  [{_word_str(f)}] on {f.strands} strands\n")
+    return EXIT_DISCONNECTED
+
+
+def _write(writer, data, path) -> int:
+    """writer(data, path); a file that cannot be written is one stderr line
+    and EXIT_PARSE."""
     try:
-        w = parse_word(cfg.word_text, cfg.strands)
+        writer(data, path)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write {path}: "
+                                 f"{exc.strerror or exc}")
+    return EXIT_OK
+
+
+def cmd_analyze(args) -> int:
+    try:
+        w = parse_word(args.word, args.strands)
     except BraidSyntaxError as exc:
         return _fail(EXIT_PARSE, f"parse error: {exc}")
 
     if w.letters and not connected(w.letters, w.strands):
-        factors = split_factors(w)
-        sys.stderr.write("disconnected word; split closure with factors:\n")
-        for f in factors:
-            sys.stderr.write(f"  [{_word_str(f)}] on {f.strands} strands\n")
-        return EXIT_DISCONNECTED
+        return _disconnected(w)
 
     profile = exponent_profile(w)
     homogeneous = homogeneous_letters(w.letters)
@@ -118,11 +117,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         report["routes_agree"] = skein == surface
 
     jones = None
-    if len(w.letters) <= cfg.kauffman_cap:
-        jones = jones_kauffman(w, cfg.kauffman_cap)
+    if len(w.letters) <= args.kauffman_cap:
+        jones = jones_kauffman(w, args.kauffman_cap)
     report["jones"] = None if jones is None else jones.to_json()
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(json.dumps(report, sort_keys=True))
         return EXIT_OK
 
@@ -149,15 +148,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
               "homogeneous word, reporting determinant-route alexander only")
     _emit(f"alexander (symmetric): {alex}")
     if jones is None:
-        _emit(f"jones: skipped (length over cap {cfg.kauffman_cap})")
+        _emit(f"jones: skipped (length over cap {args.kauffman_cap})")
     else:
         _emit(f"jones: {jones}")
     return EXIT_OK
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    space = SearchSpace(degree=cfg.degree, genus=cfg.genus,
-                        cap=cfg.search_cap)
+def cmd_enumerate(args) -> int:
+    space = SearchSpace(degree=args.degree, genus=args.genus,
+                        cap=args.search_cap)
     try:
         report = classify(space)
     except CapExceededError as exc:
@@ -165,17 +164,16 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
     payload = report_to_json(report)
     csv_text = report_to_csv(report)
-    if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+    if args.json_path and _write(
+            write_text, json.dumps(payload, sort_keys=True, indent=2) + "\n",
+            args.json_path):
+        return EXIT_PARSE
+    if args.csv_path and _write(write_text, csv_text, args.csv_path):
+        return EXIT_PARSE
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(json.dumps(payload, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         sys.stdout.write(csv_text)
     else:
         mode = (f"degree {space.degree}" if space.degree is not None
@@ -192,20 +190,16 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_monodromy(cfg: RunConfig) -> int:
+def cmd_monodromy(args) -> int:
     try:
-        w = parse_word(cfg.word_text, cfg.strands)
+        w = parse_word(args.word, args.strands)
     except BraidSyntaxError as exc:
         return _fail(EXIT_PARSE, f"parse error: {exc}")
     if not homogeneous_letters(w.letters):
         return _fail(EXIT_INHOMOGENEOUS,
                      "monodromy needs a homogeneous word")
     if w.letters and not connected(w.letters, w.strands):
-        factors = split_factors(w)
-        sys.stderr.write("disconnected word; split closure with factors:\n")
-        for f in factors:
-            sys.stderr.write(f"  [{_word_str(f)}] on {f.strands} strands\n")
-        return EXIT_DISCONNECTED
+        return _disconnected(w)
 
     norm = normalize_nonweak(w)
     seq = twist_sequence(norm)
@@ -233,7 +227,7 @@ def cmd_monodromy(cfg: RunConfig) -> int:
         report["order_bound"] = monodromy_order_bound(norm)
         report["order"] = matrix_order(act)
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(json.dumps(report, sort_keys=True))
         return EXIT_OK
 
@@ -256,11 +250,9 @@ def cmd_monodromy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_table(cfg: RunConfig) -> int:
-    from .reference import parse_entry, verify_entry, write_table
-
-    path = cfg.table_path
-    out_path = cfg.out_path or (path + ".verified")
+def cmd_verify_table(args) -> int:
+    path = args.table
+    out_path = args.out_path or (path + ".verified")
     if os.path.realpath(out_path) == os.path.realpath(path):
         return _fail(EXIT_PARSE, f"--out {out_path} is the input table; "
                                  "verify-table never rewrites its input")
@@ -290,7 +282,8 @@ def cmd_verify_table(cfg: RunConfig) -> int:
         results.append(f"{new.name}: "
                        f"{'ok' if new.verified else 'FAIL'} ({detail})")
         entries.append(new)
-    write_table(entries, out_path)
+    if _write(write_table, entries, out_path):
+        return EXIT_PARSE
 
     for line in results:
         _emit(line)
@@ -299,13 +292,13 @@ def cmd_verify_table(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    if cfg.degree is None and cfg.genus is None:
+def cmd_bounds(args) -> int:
+    if args.degree is None and args.genus is None:
         return _fail(EXIT_PARSE, "bounds needs --degree and/or --genus")
-    if cfg.degree is not None:
-        _emit(f"bound_p({cfg.degree}) = {bound_p(cfg.degree)}")
-    if cfg.genus is not None:
-        _emit(f"bound_n({cfg.genus}) = {bound_n(cfg.genus)}")
+    if args.degree is not None:
+        _emit(f"bound_p({args.degree}) = {bound_p(args.degree)}")
+    if args.genus is not None:
+        _emit(f"bound_n({args.genus}) = {bound_n(args.genus)}")
     return EXIT_OK
 
 
@@ -354,23 +347,6 @@ def _build_parser():
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        word_text=getattr(args, "word", ""),
-        strands=getattr(args, "strands", None),
-        degree=getattr(args, "degree", None),
-        genus=getattr(args, "genus", None),
-        fmt=getattr(args, "fmt", "text"),
-        kauffman_cap=getattr(args, "kauffman_cap", JONES_LENGTH_CAP),
-        search_cap=getattr(args, "search_cap", 6),
-        table_path=getattr(args, "table", None),
-        out_path=getattr(args, "out_path", None),
-        json_path=getattr(args, "json_path", None),
-        csv_path=getattr(args, "csv_path", None),
-    )
-
-
 _COMMANDS = {
     "analyze": cmd_analyze,
     "enumerate": cmd_enumerate,
@@ -382,9 +358,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[args.subcommand](args)
     except DisconnectedWordError as exc:
         msg = str(exc)
         for f in exc.factors:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DisconnectedWordError, InhomogeneousWordError
-from .polynomials import LaurentPolynomial, det
+from .polynomials import LaurentPolynomial, bareiss, det
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
 from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
                     sign_map, split_factors)
@@ -73,9 +73,7 @@ class HomologyAction:
                        M) == self.intersection_form
 
     def determinant(self) -> int:
-        wrapped = [[{0: v} if v else {} for v in row] for row in self.matrix]
-        d = det(wrapped)
-        return d.get(0, 0)
+        return bareiss([list(row) for row in self.matrix])
 
 
 def twist_sequence(w: BraidWord) -> TwistSequence:
@@ -126,33 +124,22 @@ def homology_action(seq: TwistSequence, J) -> HomologyAction:
 def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
     """The matrix V^(-1) V^T; V is unimodular for fibred data.
 
-    Fraction-free Gauss-Jordan (Bareiss) on the integer block [V | V^T]:
-    every step's division is exact, and the left block ends as d*I with
-    d = +-det V, so the answer is the right block divided by d.
+    Fraction-free Gauss-Jordan (`bareiss`) on the integer block [V | V^T]
+    leaves d * V^(-1) V^T in the right block, d = det V, so the answer is
+    that block divided by d.
     """
     k = V.dimension
     E = V.entries
     rows = [list(E[r]) + list(col) for r, col in enumerate(_transpose(E))]
-    prev = 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if rows[r][c]), None)
-        if piv is None:
-            raise RuntimeError(
-                "Seifert matrix is singular; fibred data must be unimodular")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        pivot = rows[c]
-        p = pivot[c]
-        for r in range(k):
-            if r != c:
-                f = rows[r][c]
-                rows[r] = [(p * a - f * b) // prev
-                           for a, b in zip(rows[r], pivot)]
-        prev = p
-    if any(v % prev for row in rows for v in row[k:]):
+    d = bareiss(rows)
+    if not d:
+        raise RuntimeError(
+            "Seifert matrix is singular; fibred data must be unimodular")
+    if any(v % d for row in rows for v in row[k:]):
         raise RuntimeError(
             "Seifert matrix is not unimodular; fibred data cannot "
             "produce fractional monodromy entries")
-    M = tuple(tuple(v // prev for v in row[k:]) for row in rows)
+    M = tuple(tuple(v // d for v in row[k:]) for row in rows)
     return HomologyAction(M, V.intersection_form(), V.loops)
 
 

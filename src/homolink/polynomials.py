@@ -10,7 +10,8 @@ with int keys and no stored zeros:
 
 All hot loops work on the raw dicts. The wrapper classes below fix the scale
 and keep a sorted coefficient tuple, so values are hashable, comparable and
-printable. Determinants are exact (no floats anywhere).
+printable. Determinants are exact (no floats anywhere) and all run on one
+integer elimination, `bareiss`.
 """
 
 from __future__ import annotations
@@ -61,33 +62,60 @@ def eshift(a, k):
     return {e + k: c for e, c in a.items()}
 
 
-def det(M):
-    """Exact determinant of a matrix of coefficient dicts.
-
-    Subset dynamic programming over used columns: O(2^k * k) dict products,
-    fine for the k <= 12 matrices this package meets.
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968), in place,
+    on k integer rows over their first k columns; returns the determinant of
+    that block, 0 if singular. A row swap negates the row moved down, so the
+    determinant is unchanged. For rows [A | B] the columns past k end as
+    det * A^(-1) B; without them, rows above the pivot are left alone, which
+    keeps the zeros of banded matrices.
     """
-    k = len(M)
-    if k == 0:
-        return dict(ONE)
-    prev = {0: dict(ONE)}  # bitmask of used columns -> accumulated minor
-    for r in range(k):
-        cur = {}
-        for cols, val in prev.items():
-            for c in range(k):
-                bit = 1 << c
-                if cols & bit:
-                    continue
-                ent = M[r][c]
-                if not ent:
-                    continue
-                # parity of inversions added = columns already used above c
-                s = -1 if bin(cols >> (c + 1)).count("1") % 2 else 1
-                term = smul(mul(val, ent), s)
-                key = cols | bit
-                cur[key] = add(cur.get(key, {}), term)
-        prev = cur
-    return prev.get((1 << k) - 1, {})
+    k = len(rows)
+    solve = k and len(rows[0]) > k
+    prev = 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if rows[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], [-v for v in rows[c]]
+        tail = rows[c][c:]
+        p = tail[0]
+        for r in range(0 if solve else c + 1, k):
+            if r != c:
+                row = rows[r]
+                f = row[c]
+                # columns left of c are never read again
+                row[c:] = [(p * a - f * b) // prev
+                           for a, b in zip(row[c:], tail)]
+        prev = p
+    return prev
+
+
+def det(M):
+    """Exact determinant of a square matrix of Laurent dicts, by Kronecker
+    substitution onto `bareiss`: rows shifted to non-negative exponents,
+    entries packed as the sum of c * 2^(B*e), digits read back balanced.
+    Every coefficient is at most the product of the rows' coefficient
+    1-norms (that product, expanded, dominates the Leibniz sum), and
+    2^(B-1) exceeds it, so the digits are exactly the coefficients.
+    """
+    shifts = [min((e for ent in row for e in ent), default=0) for row in M]
+    bound = 1
+    for row in M:
+        bound *= sum(abs(c) for ent in row for c in ent.values())
+    B = bound.bit_length() + 1
+    d = bareiss([[sum(c << B * (e - s) for e, c in ent.items()) for ent in row]
+                 for row, s in zip(M, shifts)])
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    out, e = {}, sum(shifts)
+    while d:
+        c = ((d + half) & mask) - half
+        if c:
+            out[e] = c
+        d = (d - c) >> B
+        e += 1
+    return out
 
 
 def z_extract(balanced):

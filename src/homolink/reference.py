@@ -75,20 +75,25 @@ def load_reference_table(path=None) -> list:
     return entries
 
 
-def write_table(entries, path):
-    """Write entries as JSONL, atomically: a temp file in the target's
-    directory replaces path only once it is complete."""
+def write_text(text, path):
+    """Write text to path as UTF-8, atomically: a temp file in the target's
+    directory replaces path only once it is complete, and is removed if
+    anything fails. OSError reaches the caller."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry_to_json(entry), sort_keys=True)
-                         + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_table(entries, path):
+    """Write entries as JSONL through write_text."""
+    write_text("".join(json.dumps(entry_to_json(entry), sort_keys=True) + "\n"
+                       for entry in entries), path)
 
 
 @lru_cache(maxsize=None)

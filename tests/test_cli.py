@@ -195,6 +195,44 @@ def test_enumerate_writes_files(tmp_path, capsys):
     assert cp.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("blocker", ["missing", "directory"])
+@pytest.mark.parametrize("output", ["verify-out", "enumerate-json",
+                                    "enumerate-csv"])
+def test_unwritable_output_is_one_line_and_exit_2(tmp_path, capsys,
+                                                  output, blocker):
+    table = tmp_path / "t.jsonl"
+    table.write_text(json.dumps(entry_to_json(find_entry("hopf"))) + "\n",
+                     encoding="utf-8")
+    if blocker == "missing":
+        target = tmp_path / "nope" / "x"
+    else:
+        # the temp file is made, then cannot replace a directory
+        target = tmp_path / "dir"
+        target.mkdir()
+    argv = {"verify-out": ["verify-table", str(table), "--out", str(target)],
+            "enumerate-json": ["enumerate", "--degree", "1",
+                               "--json", str(target)],
+            "enumerate-csv": ["enumerate", "--degree", "1",
+                              "--csv", str(target)]}[output]
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def test_disconnected_report_is_shared(capsys):
+    reports = [run(capsys, cmd, "1 -2 1", "--strands", "5")
+               for cmd in ("analyze", "monodromy")]
+    assert reports[0] == reports[1]
+    code, out, err = reports[0]
+    assert code == EXIT_DISCONNECTED and out == ""
+    assert err.startswith("disconnected word; split closure with factors:\n")
+    assert "  [1 -2 1] on 3 strands\n" in err
+
+
 def test_enumerate_requires_exactly_one_mode(capsys):
     with pytest.raises(SystemExit):
         main(["enumerate", "--degree", "1", "--genus", "1"])

@@ -16,6 +16,7 @@ from homolink.monodromy import (
     monodromy_order_bound,
     twist_sequence,
 )
+from homolink.burau import alexander_via_burau
 from homolink.polynomials import equal_up_to_unit
 from homolink.seifert import alexander_from_seifert, build_surface, seifert_matrix
 from homolink.words import BraidWord, parse_word
@@ -89,6 +90,27 @@ def test_seifert_route_rejects_fractional_entries():
     # det 2 but V^(-1) V^T = I is integral, so it is returned as is
     act = monodromy_from_seifert(type(V)(((2, 0), (0, 1)), V.loops))
     assert act.matrix == ((1, 0), (0, 1))
+
+
+def test_determinant_sign_and_singular():
+    J = ((0, 1), (-1, 0))
+    loops = ((1, 1), (1, 2))
+    assert HomologyAction(((0, 1), (1, 0)), J, loops).determinant() == -1
+    assert HomologyAction(((2, 1), (4, 2)), J, loops).determinant() == 0
+    assert HomologyAction((), (), ()).determinant() == 1
+
+
+@pytest.mark.parametrize("r", [11, 16, 20])
+def test_long_words_cross_routes(r):
+    # (1 -2)^r has k = 2r - 2 loops: 20, 30 and 38
+    w = BraidWord(3, (1, -2) * r)
+    V = seifert_matrix(build_surface(w))
+    assert V.dimension == 2 * r - 2
+    alex = alexander_from_seifert(V)
+    assert alex == alexander_via_burau(w)
+    act = action_of_word(w)
+    assert equal_up_to_unit(char_poly(act), alex)
+    assert monodromy_from_seifert(V).matrix == act.matrix
 
 
 def test_preserves_form_detects_non_symplectic_matrix():

@@ -10,6 +10,7 @@ from homolink.polynomials import (
     ConwayPolynomial,
     LaurentPolynomial,
     add,
+    bareiss,
     conway_to_laurent,
     det,
     equal_up_to_unit,
@@ -29,6 +30,18 @@ lau = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
 
 def clean(d):
     return {e: c for e, c in d.items() if c}
+
+
+def cofactor(m):
+    """Determinant by first-row Laplace expansion: the slow oracle."""
+    if not m:
+        return dict(ONE)
+    total = {}
+    for j, cell in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = mul(cell, cofactor(minor))
+        total = add(total, term) if j % 2 == 0 else sub(total, term)
+    return total
 
 
 def test_basic_arithmetic():
@@ -70,17 +83,45 @@ def test_det_matches_cofactor_on_3x3():
         [{2: 1}, {}, {0: 1}],
     ]
 
-    def cof(m):
-        if not m:
-            return dict(ONE)
-        total = {}
-        for j, cell in enumerate(m[0]):
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = mul(cell, cof(minor))
-            total = add(total, term) if j % 2 == 0 else sub(total, term)
-        return total
+    assert clean(det(rows)) == clean(cofactor(rows))
 
-    assert clean(det(rows)) == clean(cof(rows))
+
+@st.composite
+def laurent_matrices(draw):
+    """k <= 5 matrices of Laurent dicts, exponents -3..3, coefficients up to
+    1e6 in size, with empty entries and all-zero rows."""
+    k = draw(st.integers(0, 5))
+    entry = st.dictionaries(st.integers(-3, 3),
+                            st.integers(-10**6, 10**6), max_size=3).map(clean)
+    row = st.lists(entry, min_size=k, max_size=k)
+    zero_row = st.builds(lambda: [{} for _ in range(k)])
+    return draw(st.lists(st.one_of(row, zero_row), min_size=k, max_size=k))
+
+
+@given(laurent_matrices())
+def test_det_matches_cofactor_random(m):
+    d = det(m)
+    assert all(d.values())
+    assert d == clean(cofactor(m))
+
+
+def test_det_reaches_the_coefficient_bound():
+    # a diagonal matrix makes the row-norm product exact: 2^63 needs the
+    # widest digit the bound allows, and the sign must survive unpacking
+    m = [[{1: -(2**21)}, {}, {}], [{}, {0: 2**21}, {}], [{}, {}, {-2: 2**21}]]
+    assert det(m) == {-1: -(2**63)}
+    assert det([[{0: 1}, {0: 1}], [{0: 1}, {-1: 1}]]) == {0: -1, -1: 1}
+
+
+def test_bareiss_determinant_and_solve():
+    assert bareiss([]) == 1
+    assert bareiss([[0, 1], [1, 0]]) == -1
+    assert bareiss([[1, 2], [2, 4]]) == 0
+    assert bareiss([[0, 2, 0], [3, 1, 0], [0, 0, 5]]) == -30
+    # [A | I] with a pivot swap: the right block ends as det * A^(-1)
+    rows = [[0, 2, 1, 0], [1, 1, 0, 1]]
+    assert bareiss(rows) == -2
+    assert [row[2:] for row in rows] == [[1, -2], [-1, 0]]
 
 
 def test_z_extract_and_substitute_round_trip():
