@@ -24,7 +24,7 @@ from .skein import (SkeinStep, complexity, complexity_less, conway_skein,
 from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
                       build_surface, conway_from_seifert, decompose_murasugi,
                       knot_genus, seifert_matrix, surface_conway)
-from .jones import JONES_LENGTH_CAP, jones_kauffman
+from .jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from .burau import alexander_via_burau, conway_via_burau, unreduced_burau
 from .monodromy import (HomologyAction, TwistSequence, action_of_word,
                         char_poly, homology_action, matrix_order,
@@ -55,7 +55,7 @@ __all__ = [
     "BraidedSurface", "SeifertMatrix", "alexander_from_seifert",
     "build_surface", "conway_from_seifert", "decompose_murasugi",
     "knot_genus", "seifert_matrix", "surface_conway",
-    "JONES_LENGTH_CAP", "jones_kauffman",
+    "JONES_LENGTH_CAP", "jones_kauffman", "jones_polynomial",
     "alexander_via_burau", "conway_via_burau", "unreduced_burau",
     "HomologyAction", "TwistSequence", "action_of_word", "char_poly",
     "homology_action", "matrix_order", "monodromy_from_seifert",

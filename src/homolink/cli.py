@@ -20,12 +20,12 @@ from .enumeration import (SearchSpace, bound_n, bound_p, classify,
                           report_to_csv, report_to_json)
 from .errors import (BraidSyntaxError, CapExceededError,
                      DisconnectedWordError, InhomogeneousWordError)
-from .jones import JONES_LENGTH_CAP, jones_kauffman
+from .jones import JONES_LENGTH_CAP, jones_polynomial
 from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
                         twist_sequence)
 from .polynomials import ConwayPolynomial, equal_up_to_unit
-from .reference import parse_entry, verify_entry, write_table, write_text
+from .reference import parse_entry, verify_table, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
@@ -118,7 +118,7 @@ def cmd_analyze(args) -> int:
 
     jones = None
     if len(w.letters) <= args.kauffman_cap:
-        jones = jones_kauffman(w, args.kauffman_cap)
+        jones = jones_polynomial(w)
     report["jones"] = None if jones is None else jones.to_json()
 
     if args.fmt == "json":
@@ -262,33 +262,28 @@ def cmd_verify_table(args) -> int:
     except OSError as exc:
         return _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
 
-    results = []
-    entries = []
-    ok_count = fail_count = bad_lines = 0
+    # one slot per non-blank line: a malformed-line message, or None where
+    # the entry's verification detail goes
+    parsed, results = [], []
     for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            entry = parse_entry(json.loads(line))
+            parsed.append(parse_entry(json.loads(line)))
         except (ValueError, KeyError, TypeError) as exc:
-            bad_lines += 1
             results.append(f"line {ln}: malformed entry skipped ({exc})")
             continue
-        new, detail = verify_entry(entry)
-        if new.verified:
-            ok_count += 1
-        else:
-            fail_count += 1
-        results.append(f"{new.name}: "
-                       f"{'ok' if new.verified else 'FAIL'} ({detail})")
-        entries.append(new)
+        results.append(None)
+    entries, details = verify_table(parsed)
     if _write(write_table, entries, out_path):
         return EXIT_PARSE
 
+    details = iter(details)
     for line in results:
-        _emit(line)
-    _emit(f"verified {ok_count}, failed {fail_count}, malformed {bad_lines}; "
-          f"wrote {out_path}")
+        _emit(next(details) if line is None else line)
+    ok_count = sum(entry.verified for entry in entries)
+    _emit(f"verified {ok_count}, failed {len(entries) - ok_count}, "
+          f"malformed {len(results) - len(entries)}; wrote {out_path}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError, TableDefectError
-from .jones import jones_kauffman
+from .jones import jones_polynomial
 from .polynomials import eshift
 from .seifert import build_surface, conway_from_seifert, seifert_matrix
 from .words import (BraidWord, component_count, connected,
@@ -186,7 +186,7 @@ def link_signature(w: BraidWord) -> LinkSignature:
     else:
         from .burau import conway_via_burau
         conway = conway_via_burau(w).as_dict()
-    jones = jones_kauffman(w).as_dict()
+    jones = jones_polynomial(w).as_dict()
     return LinkSignature(comps,
                          _conway_canonical(conway, comps),
                          _jones_canonical(jones, comps))

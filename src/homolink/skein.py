@@ -54,6 +54,11 @@ class SkeinStep:
 
 
 _memo: dict = {}
+# `conway_skein` empties the memo before a call once it holds more entries
+# than this, which bounds it over a long run (a single call may still pass
+# it); 3,000 short words or one 3-strand word of length 40 fill a few
+# thousand.
+_MEMO_LIMIT = 1 << 17
 
 
 def _reduce(word, n):
@@ -148,6 +153,8 @@ def conway_skein(w: BraidWord) -> ConwayPolynomial:
         raise DisconnectedWordError(
             f"split closure: {w} skips a generator",
             factors=split_factors(w))
+    if len(_memo) > _MEMO_LIMIT:
+        _memo.clear()
     return ConwayPolynomial.from_dict(_conway(w.letters, w.strands))
 
 

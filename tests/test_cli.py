@@ -125,11 +125,11 @@ def test_monodromy_normalizes_weak_words(capsys):
 def test_commands_build_each_object_once(monkeypatch, capsys):
     from collections import Counter
 
-    from homolink import cli, monodromy
+    from homolink import cli, enumeration, jones, monodromy
     calls = Counter()
-    for mod in (cli, monodromy):
+    for mod in (cli, enumeration, jones, monodromy):
         for name in ("build_surface", "seifert_matrix", "twist_sequence",
-                     "jones_kauffman"):
+                     "jones_kauffman", "jones_polynomial"):
             fn = getattr(mod, name, None)
             if fn is not None:
                 def counted(*args, _fn=fn, _name=name):
@@ -141,7 +141,12 @@ def test_commands_build_each_object_once(monkeypatch, capsys):
                      "twist_sequence": 1}
     calls.clear()
     assert run(capsys, "analyze", "1 -2 1 -2")[0] == EXIT_OK
-    assert calls["jones_kauffman"] == 1
+    assert calls["jones_polynomial"] == 1
+    assert calls["jones_kauffman"] == 0
+    calls.clear()
+    assert run(capsys, "enumerate", "--degree", "2")[0] == EXIT_OK
+    assert calls["jones_polynomial"] > 0
+    assert calls["jones_kauffman"] == 0
 
 
 def test_monodromy_error_codes(capsys):

@@ -1,13 +1,18 @@
-"""Kauffman-bracket Jones values and their invariance properties."""
+"""Kauffman-bracket Jones values and their invariance properties.
+
+`jones_kauffman` (the 2^m state sum) is the oracle; `jones_polynomial`
+(the Temperley-Lieb transfer) must equal it wherever the oracle reaches,
+and keeps the invariance properties at lengths the oracle cannot reach.
+"""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import any_words
 from homolink.errors import CapExceededError
-from homolink.jones import JONES_LENGTH_CAP, jones_kauffman
+from homolink.jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from homolink.words import (
     BraidWord,
     component_count,
@@ -81,4 +86,50 @@ def test_cap():
 def test_value_at_one_counts_components(w):
     # evaluating at t = 1 gives (-2)^(c-1), c the component count
     total = sum(jones_kauffman(w).as_dict().values())
+    assert total == (-2) ** (component_count(w) - 1)
+
+
+def test_transfer_equals_state_sum_exhaustive():
+    # every word on n <= 3 strands of length m <= 6, both signs everywhere
+    seen = 0
+    for n in (1, 2, 3):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for m in range(7 if n > 1 else 1):
+            for word in product(letters, repeat=m):
+                w = BraidWord(n, word)
+                assert jones_polynomial(w) == jones_kauffman(w), w
+                seen += 1
+    assert seen == 1 + 127 + 5461
+
+
+@given(any_words(max_n=6, max_m=12))
+@settings(max_examples=60, deadline=None)
+@example(BraidWord(1, ()))
+@example(BraidWord(4, ()))
+@example(BraidWord(5, (1, -1, 3, 3, -4)))  # split, mixed signs
+@example(BraidWord(3, (1, -2, -1, 2, 1, -2, -1, 2)))  # inhomogeneous
+@example(BraidWord(6, (1, -2, 3, -4, 5, 5, -4, 3, -2, 1, 2, -3)))
+def test_transfer_equals_state_sum(w):
+    assert jones_polynomial(w) == jones_kauffman(w)
+
+
+@st.composite
+def length_40_words(draw):
+    n = draw(st.integers(2, 5))
+    letters = draw(st.lists(
+        st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        min_size=40, max_size=40))
+    return BraidWord(n, tuple(letters))
+
+
+@given(length_40_words(), st.integers(1, 39), st.sampled_from((1, -1)))
+@settings(max_examples=40, deadline=None)
+def test_transfer_invariances_past_the_oracle(w, k, s):
+    base = jones_polynomial(w)
+    mirror = BraidWord(w.strands, tuple(-x for x in w.letters))
+    assert jones_polynomial(mirror) == base.mirror()
+    stab = BraidWord(w.strands + 1, w.letters + (s * w.strands,))
+    assert jones_polynomial(stab) == base
+    assert jones_polynomial(cyclic_permute(w, k)) == base
+    total = sum(base.as_dict().values())
     assert total == (-2) ** (component_count(w) - 1)

@@ -159,3 +159,22 @@ def test_nonweak_recursion_never_destabilizes(w):
         return
     step = reduction_step(w)
     assert step.kind in {"unknot", "smooth", "slide", "exchange"}
+
+
+def test_memo_is_emptied_past_its_limit(monkeypatch):
+    from homolink import skein
+    first = parse_word("1 -2 1 -2 1 -2 1 -2")
+    second = parse_word("1 1 2 2 3 3 1 2")
+    monkeypatch.setattr(skein, "_memo", {})
+    values = [conway_skein(first), conway_skein(second)]
+    skein._memo.clear()
+    conway_skein(second)
+    alone = set(skein._memo)
+
+    skein._memo.clear()
+    monkeypatch.setattr(skein, "_MEMO_LIMIT", 2)
+    assert conway_skein(first) == values[0]
+    assert len(skein._memo) > 2
+    assert conway_skein(second) == values[1]
+    assert set(skein._memo) == alone
+    assert conway_skein(first) == values[0]
