@@ -15,6 +15,7 @@ from homolink.enumeration import (
     bound_n,
     bound_p,
     classify,
+    candidates_with_counts,
     enumerate_words,
     symmetry_reduce,
     words_with_counts,
@@ -45,7 +46,10 @@ def survey_reps():
     reps = []
     for n in range(2, 5):
         for m in range(2 * (n - 1), 10):
-            reps.extend(symmetry_reduce(words_with_counts(n, m)))
+            full = symmetry_reduce(words_with_counts(n, m))
+            assert symmetry_reduce(candidates_with_counts(n, m)) == full, \
+                (n, m)
+            reps.extend(full)
     assert len(reps) == 2122, "survey enumeration drifted"
     return reps
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour via in-process main() calls."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,21 @@ def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--degree", "9")
     assert code == EXIT_CAP
     assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("--degree",
+     "65b4880678e7d88dcf8e8e3c582a23a02e1bbe19b53a4fd4fcb37b376fd12c74"),
+    ("--genus",
+     "22855cb3e6333955af32d23ff6d583971eaee2bdeba520d51a1b3fd5fc2c9629"),
+])
+def test_enumerate_json_golden(capsys, mode, digest):
+    # The full degree-4 / genus-2 reports, pinned byte for byte: any change
+    # to orbit generation, reduction or representative choice shows here.
+    param = "4" if mode == "--degree" else "2"
+    code, out, _ = run(capsys, "enumerate", mode, param, "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_enumerate_writes_files(tmp_path, capsys):

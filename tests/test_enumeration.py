@@ -16,6 +16,7 @@ from homolink.enumeration import (
     enumerate_words,
     link_signature,
     orbit_canonical,
+    orbit_candidates,
     report_to_csv,
     report_to_json,
     symmetry_reduce,
@@ -23,7 +24,11 @@ from homolink.enumeration import (
 )
 from homolink.errors import CapExceededError
 from homolink.reference import find_entry
-from homolink.words import BraidWord, parse_word, weak_indices
+from homolink.words import (BraidWord, connected, homogeneous_letters,
+                            parse_word, weak_indices)
+
+SMALL_SPACES = ([SearchSpace(degree=k) for k in range(5)]
+                + [SearchSpace(genus=g) for g in range(3)])
 
 
 def test_search_space_validation():
@@ -61,9 +66,44 @@ def test_enumerated_words_are_nonweak_with_right_degree():
 
 
 def test_cap():
+    for stream in (enumerate_words, orbit_candidates):
+        with pytest.raises(CapExceededError):
+            stream(SearchSpace(degree=7))
+        assert next(stream(SearchSpace(degree=7, cap=7)))
+
+
+def test_classify_refuses_over_cap_before_generating(monkeypatch):
+    from homolink import enumeration
+
+    def forbidden(n, m):
+        raise AssertionError("generated words for a space over the cap")
+
+    monkeypatch.setattr(enumeration, "_column_sequences", forbidden)
     with pytest.raises(CapExceededError):
-        enumerate_words(SearchSpace(degree=7))
-    assert next(enumerate_words(SearchSpace(degree=7, cap=7)))
+        classify(SearchSpace(degree=7))
+
+
+@pytest.mark.parametrize("space", SMALL_SPACES,
+                         ids=lambda s: f"degree{s.degree}-genus{s.genus}")
+def test_candidates_meet_every_orbit(space):
+    candidates = list(orbit_candidates(space))
+    assert (symmetry_reduce(candidates)
+            == symmetry_reduce(enumerate_words(space)))
+    for w in candidates:
+        n, m = w.strands, len(w.letters)
+        if space.parameter == 0:
+            assert w == BraidWord(1, ())
+            continue
+        assert n in space.strand_range() and m == space.length_for(n)
+        assert homogeneous_letters(w.letters) and connected(w.letters, n)
+        assert not weak_indices(w)
+
+
+def test_candidates_skip_most_raw_words():
+    space = SearchSpace(degree=4)
+    raw = sum(1 for _ in enumerate_words(space))
+    assert raw == 45562
+    assert 20 * sum(1 for _ in orbit_candidates(space)) <= raw
 
 
 def test_raw_and_orbit_counts():
