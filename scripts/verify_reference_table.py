@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Recompute every reference entry and print the hand-check notes.
 
-The shipped table is verified on two routes (Burau determinant always,
-Seifert matrix when the word is homogeneous and connected). A few entries
+Every entry of the shipped table is verified on two routes, the Burau
+determinant and the Seifert matrix; the surface route takes mixed-sign
+words such as 8_20's too, and only a split word would skip it. A few entries
 were also worked through by hand when the table was assembled; those
 derivations are reprinted here so they stay part of the record.
 """

@@ -25,7 +25,7 @@ from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
                       build_surface, conway_from_seifert, decompose_murasugi,
                       knot_genus, seifert_matrix, surface_conway)
 from .jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
-from .burau import alexander_via_burau, conway_via_burau, unreduced_burau
+from .burau import alexander_via_burau, unreduced_burau
 from .monodromy import (HomologyAction, TwistSequence, action_of_word,
                         char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
@@ -56,7 +56,7 @@ __all__ = [
     "build_surface", "conway_from_seifert", "decompose_murasugi",
     "knot_genus", "seifert_matrix", "surface_conway",
     "JONES_LENGTH_CAP", "jones_kauffman", "jones_polynomial",
-    "alexander_via_burau", "conway_via_burau", "unreduced_burau",
+    "alexander_via_burau", "unreduced_burau",
     "HomologyAction", "TwistSequence", "action_of_word", "char_poly",
     "homology_action", "matrix_order", "monodromy_from_seifert",
     "monodromy_order_bound", "twist_sequence",

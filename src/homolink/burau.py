@@ -1,17 +1,17 @@
 """Alexander polynomial from the unreduced Burau representation.
 
-A third, fully independent engine. Unlike the skein and surface routes it
-accepts arbitrary words (mixed signs welcome), which makes it the verifier
-of choice for reference links given by non-homogeneous braids. For knots
-the output pins the Conway normalization exactly; for links the overall
-sign is not observable from the determinant, so values are symmetric up to
-that sign.
+The Alexander route independent of the Seifert surface: every value the
+surface route gives, for homogeneous and mixed-sign words alike, is
+checked against this one. It also accepts split words, which have no
+connected surface. For knots the output pins the Conway normalization
+exactly; for links the overall sign is not observable from the
+determinant, so values are symmetric up to that sign.
 """
 
 from __future__ import annotations
 
 from .polynomials import (LaurentPolynomial, ONE, add, alexander_sign, det,
-                          eshift, mul, smul, sub, z_extract)
+                          eshift, mul, smul, sub)
 from .words import BraidWord
 
 
@@ -98,13 +98,3 @@ def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
     centered = {2 * e - (lo2 + hi2) // 2: c for e, c in d.items()}
     return LaurentPolynomial.from_dict(alexander_sign(centered), scale=2)
 
-
-def conway_via_burau(w: BraidWord):
-    """Conway coefficients recovered from the Burau Alexander value.
-
-    Exact for knots; for links the overall sign is the symmetric-form
-    convention, not necessarily the skein sign.
-    """
-    from .polynomials import ConwayPolynomial
-    alex = alexander_via_burau(w)
-    return ConwayPolynomial.from_dict(z_extract(alex.as_dict()))

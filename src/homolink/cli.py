@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, enumerate, monodromy, verify-table, bounds.
-Exit codes: 0 success, 2 parse failure or an output file that cannot be
-written, 3 disconnected word (split factors listed), 4 inhomogeneous input
-where homogeneity is required, 5 work cap exceeded. Output is deterministic
-for a fixed configuration; JSON reports carry a "schema": 1 version field,
-all file I/O is UTF-8 and every file is written atomically.
+Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too)
+or an output file that cannot be written, 3 disconnected word (split
+factors listed), 4 inhomogeneous input where homogeneity is required, 5
+work cap exceeded. Output is deterministic for a fixed configuration;
+JSON reports carry a "schema": 1 version field, all file I/O is UTF-8 and
+every file is written atomically.
 """
 
 from __future__ import annotations
@@ -353,6 +354,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag in ("degree", "genus"):    # enumerate and bounds take these
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            return _fail(EXIT_PARSE,
+                         f"--{flag} must be non-negative, got {value}")
     try:
         return _COMMANDS[args.subcommand](args)
     except DisconnectedWordError as exc:

@@ -14,10 +14,12 @@ sequence only if it is least in its symmetry orbit and fixes the first
 letter's sign, so it meets every orbit while skipping almost all raw
 words (941 candidates for 45,562 raw words at degree 4).
 
-Two closures with equal signatures are reported as one class; the
-signature (component count, Conway, mirror-insensitive Jones) is an
-equality TEST, not a proof of sameness, and collisions between reference
-entries are treated as table defects rather than merged silently.
+A signature's Conway comes from the Seifert matrix for every connected
+word, homogeneous or not; a split word's Conway is 0. Two closures with
+equal signatures are reported as one class; the signature (component
+count, Conway, mirror-insensitive Jones) is an equality TEST, not a proof
+of sameness, and collisions between reference entries are treated as
+table defects rather than merged silently.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .errors import CapExceededError, TableDefectError
 from .jones import jones_polynomial
 from .polynomials import eshift
 from .seifert import build_surface, conway_from_seifert, seifert_matrix
-from .words import (BraidWord, component_count, connected,
-                    homogeneous_letters, letter_counts)
+from .words import BraidWord, component_count, connected
 
 
 @dataclass(frozen=True)
@@ -237,11 +238,8 @@ def _jones_canonical(d: dict, comps: int) -> tuple:
 
 def link_signature(w: BraidWord) -> LinkSignature:
     comps = component_count(w)
-    if homogeneous_letters(w.letters) and connected(w.letters, w.strands):
-        conway = conway_from_seifert(seifert_matrix(build_surface(w))).as_dict()
-    else:
-        from .burau import conway_via_burau
-        conway = conway_via_burau(w).as_dict()
+    conway = (conway_from_seifert(seifert_matrix(build_surface(w))).as_dict()
+              if connected(w.letters, w.strands) else {})
     jones = jones_polynomial(w).as_dict()
     return LinkSignature(comps,
                          _conway_canonical(conway, comps),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 ONE = {0: 1}
 
@@ -96,14 +97,18 @@ def det(M):
     """Exact determinant of a square matrix of Laurent dicts, by Kronecker
     substitution onto `bareiss`: rows shifted to non-negative exponents,
     entries packed as the sum of c * 2^(B*e), digits read back balanced.
-    Every coefficient is at most the product of the rows' coefficient
-    1-norms (that product, expanded, dominates the Leibniz sum), and
-    2^(B-1) exceeds it, so the digits are exactly the coefficients.
+    A coefficient is a Fourier coefficient of det M(e^(i*t)), so at most
+    max_t |det M(e^(i*t))|. Hadamard's inequality bounds that by the product
+    of the rows' Euclidean norms, and |M_rc(e^(i*t))| <= l1(M_rc), the sum
+    of the entry's absolute coefficients. Being an integer, a coefficient is
+    then at most isqrt(prod_r sum_c l1(M_rc)^2); 2^(B-1) exceeds that, so
+    the digits are exactly the coefficients.
     """
     shifts = [min((e for ent in row for e in ent), default=0) for row in M]
-    bound = 1
+    squares = 1
     for row in M:
-        bound *= sum(abs(c) for ent in row for c in ent.values())
+        squares *= sum(sum(map(abs, ent.values())) ** 2 for ent in row if ent)
+    bound = isqrt(squares)
     B = bound.bit_length() + 1
     d = bareiss([[sum(c << B * (e - s) for e, c in ent.items()) for ent in row]
                  for row, s in zip(M, shifts)])

@@ -2,10 +2,11 @@
 
 Every entry carries a braid word and the published symmetric Alexander
 polynomial of its closure. Verification recomputes the polynomial from the
-word (Burau route always, Seifert route when the word allows it) and
-demands exact agreement; classification refuses to match against entries
-whose verified flag is down. Entries live in reference_table.jsonl next to
-this module, one JSON object per line.
+word on two routes (Burau, and the Seifert matrix for every connected
+word, mixed signs included) and demands exact agreement; classification
+refuses to match against entries whose verified flag is down. Entries
+live in reference_table.jsonl next to this module, one JSON object per
+line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .burau import alexander_via_burau
 from .enumeration import LinkSignature, link_signature
 from .polynomials import LaurentPolynomial, polynomial_from_json
 from .seifert import alexander_from_seifert, build_surface, seifert_matrix
-from .words import BraidWord, connected, homogeneous_letters
+from .words import BraidWord, connected
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,9 @@ def entry_signature(entry: ReferenceEntry) -> LinkSignature:
 def verify_entry(entry: ReferenceEntry):
     """(entry with refreshed flag, human-readable detail line).
 
-    The Burau determinant is computed for every word; homogeneous connected
-    words additionally go through the Seifert matrix, and the two must agree
-    with each other and with the published value exactly.
+    The Burau determinant is computed for every word; connected words
+    additionally go through the Seifert matrix, and the two must agree with
+    each other and with the published value exactly.
     """
     published = entry.published_alexander.as_dict()
     computed = alexander_via_burau(entry.word).as_dict()
@@ -114,7 +115,7 @@ def verify_entry(entry: ReferenceEntry):
     detail = "burau matches published" if ok else (
         f"burau disagrees with published: {computed} vs {published}")
     w = entry.word
-    if ok and homogeneous_letters(w.letters) and connected(w.letters, w.strands):
+    if ok and connected(w.letters, w.strands):
         surf = alexander_from_seifert(seifert_matrix(build_surface(w))).as_dict()
         if surf != published:
             ok = False

@@ -1,17 +1,20 @@
 """Braided Seifert surfaces and the matrix route to Conway/Alexander.
 
 The closure of a word on n strands bounds the surface made of n disks
-joined by one half-twisted band per letter. For a homogeneous connected
-word that surface is a fiber surface, and its first homology has the
-standard basis of loops running through consecutive bands of one column.
-The Seifert matrix of that basis gives the Conway polynomial as a
-symmetrized determinant, independently of the skein recursion.
+joined by one half-twisted band per letter. For any connected word that is
+a Seifert surface, a fiber only when the word is homogeneous (Stallings,
+1978). Its first homology has the basis of loops running through
+consecutive bands of one column, and each band keeps its own sign, so a
+loop through bands of opposite sign has self-linking 0. The Seifert matrix
+of that basis gives the Conway polynomial as a symmetrized determinant,
+independently of the skein recursion and of Burau.
 
 Sign conventions (push-off side, twist handedness) are not forced by the
 combinatorics. The constants below were calibrated so the determinant
 agrees with the skein route on sigma_1^2 and sigma_1^3, then the whole
-rule set was validated exhaustively against it on every homogeneous
-connected word with n <= 4, m <= 8. Do not edit one constant in isolation.
+rule set was validated against the skein route on every homogeneous
+connected word with n <= 4, m <= 8, and against Burau on mixed-sign words
+(scripts/calibrate_conventions.py). Do not edit one constant in isolation.
 """
 
 from __future__ import annotations
@@ -89,15 +92,6 @@ def knot_genus(w: BraidWord) -> int:
     return (1 + len(w.letters) - w.strands) // 2
 
 
-def _require_homogeneous_connected(w: BraidWord, what: str):
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(f"{what} needs a homogeneous word, got {w}")
-    if not connected(w.letters, w.strands):
-        raise DisconnectedWordError(
-            f"{what} needs a connected word, {w} skips a generator",
-            factors=split_factors(w))
-
-
 def decompose_murasugi(s: BraidedSurface) -> list:
     """Plumbing summands, one per column: (column, sign, band count).
 
@@ -105,7 +99,13 @@ def decompose_murasugi(s: BraidedSurface) -> list:
     surface is their iterated Murasugi sum along the shared disks.
     """
     w = s.word
-    _require_homogeneous_connected(w, "decompose_murasugi")
+    if not homogeneous_letters(w.letters):
+        raise InhomogeneousWordError(
+            f"decompose_murasugi needs a homogeneous word, got {w}")
+    if not connected(w.letters, w.strands):
+        raise DisconnectedWordError(
+            f"decompose_murasugi needs a connected word, {w} skips a "
+            "generator", factors=split_factors(w))
     q = letter_counts(w.letters, w.strands)
     sgn = sign_map(w.letters)
     return [(i, sgn[i], q[i]) for i in range(1, w.strands)]
@@ -113,49 +113,41 @@ def decompose_murasugi(s: BraidedSurface) -> list:
 
 # Calibrated linking contributions (see module docstring). Each pair is
 # (V[a][b], V[b][a]) for the loop pair in the stated configuration.
-_SELF = 1                 # times alpha(i), the diagonal
-_SAME_COL_POS = (0, -1)   # adjacent loops of a positive column
-_SAME_COL_NEG = (1, 0)    # adjacent loops of a negative column
+_SELF = 1                 # times the mean sign of the loop's two bands
+_SAME_COL_POS = (0, -1)   # adjacent loops sharing a positive band
+_SAME_COL_NEG = (1, 0)    # adjacent loops sharing a negative band
 _CROSS_OPEN = (0, 1)      # right loop's first band inside the left loop
 _CROSS_CLOSE = (0, -1)    # right loop's second band inside the left loop
 
 
 def seifert_matrix(s: BraidedSurface) -> SeifertMatrix:
+    """Seifert matrix of the surface of any connected word, mixed signs too."""
     w = s.word
-    _require_homogeneous_connected(w, "seifert_matrix")
-    sgn = sign_map(w.letters)
-    # loop id -> the word positions of its two bands
-    occ = {}
-    for p, x in enumerate(w.letters):
-        occ.setdefault(abs(x), []).append(p)
-    spans = []
-    for i, j in s.basis_loops:
-        ps = occ[i]
-        spans.append((i, ps[j - 1], ps[j]))
+    if not connected(w.letters, w.strands):
+        raise DisconnectedWordError(
+            f"seifert_matrix needs a connected word, {w} skips a generator",
+            factors=split_factors(w))
+    eps = [sign for _, _, sign in s.bands]
+    pos = {(i, j): p for p, (i, j, _) in enumerate(s.bands)}
+    # per basis loop: its column and the word positions of its two bands
+    spans = [(i, pos[i, j], pos[i, j + 1]) for i, j in s.basis_loops]
     g = len(spans)
     V = [[0] * g for _ in range(g)]
     for a, (ia, p1, p2) in enumerate(spans):
-        V[a][a] = _SELF * sgn[ia]
+        V[a][a] = _SELF * (eps[p1] + eps[p2]) // 2
         for b, (ib, r1, r2) in enumerate(spans):
-            if b == a:
-                continue
-            if ib == ia:
+            if ib == ia and r1 == p2:
                 # same column: only loops sharing a band link, and they
                 # share exactly when b starts at a's second band
-                if r1 == p2:
-                    pr = _SAME_COL_POS if sgn[ia] > 0 else _SAME_COL_NEG
-                    V[a][b] += pr[0]
-                    V[b][a] += pr[1]
-            elif ib == ia + 1:
+                pr = _SAME_COL_POS if eps[p2] > 0 else _SAME_COL_NEG
+            elif ib == ia + 1 and (p1 < r1 < p2) != (p1 < r2 < p2):
                 # neighbouring columns share a disk; linking happens iff
                 # exactly one endpoint of b sits between a's bands
-                inside1 = p1 < r1 < p2
-                inside2 = p1 < r2 < p2
-                if inside1 == inside2:
-                    continue
-                pr = _CROSS_OPEN if inside1 else _CROSS_CLOSE
-                V[a][b] += pr[0]
-                V[b][a] += pr[1]
+                pr = _CROSS_OPEN if p1 < r1 < p2 else _CROSS_CLOSE
+            else:
+                continue
+            V[a][b] += pr[0]
+            V[b][a] += pr[1]
     entries = tuple(tuple(row) for row in V)
     return SeifertMatrix(entries, tuple(s.basis_loops))
 

@@ -254,6 +254,22 @@ def test_disconnected_report_is_shared(capsys):
     assert "  [1 -2 1] on 3 strands\n" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--degree", "-1"), "--degree must be non-negative, got -1"),
+    (("enumerate", "--genus", "-2", "--format", "json"),
+     "--genus must be non-negative, got -2"),
+    (("bounds", "--degree", "-1"), "--degree must be non-negative, got -1"),
+    (("bounds", "--degree", "2", "--genus", "-1"),
+     "--genus must be non-negative, got -1"),
+])
+def test_negative_search_parameter_is_one_line_and_exit_2(capsys, argv,
+                                                          message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_enumerate_requires_exactly_one_mode(capsys):
     with pytest.raises(SystemExit):
         main(["enumerate", "--degree", "1", "--genus", "1"])

@@ -113,6 +113,24 @@ def test_det_reaches_the_coefficient_bound():
     assert det([[{0: 1}, {0: 1}], [{0: 1}, {-1: 1}]]) == {0: -1, -1: 1}
 
 
+HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+
+
+def test_det_reaches_the_hadamard_bound():
+    # rows of +-1 are orthogonal, so |det| = 16 = prod of row norms: the
+    # bound is tight and its top digit must still read back with its sign
+    assert det([[{0: v} for v in row] for row in HADAMARD]) == {0: 16}
+    flipped = [[{0: -v} for v in HADAMARD[0]]] + [
+        [{0: v} for v in row] for row in HADAMARD[1:]]
+    assert det(flipped) == {0: -16}
+    # the pencil x*H + x^-1*H' with H' = H with its columns reversed
+    pencil = [[clean({1: a, -1: b}) for a, b in zip(row, row[::-1])]
+              for row in HADAMARD]
+    assert det(pencil) == clean(cofactor(pencil))
+    scaled = [[{1: v, -1: v} for v in row] for row in HADAMARD]
+    assert det(scaled) == {4: 16, 2: 64, 0: 96, -2: 64, -4: 16}
+
+
 def test_bareiss_determinant_and_solve():
     assert bareiss([]) == 1
     assert bareiss([[0, 1], [1, 0]]) == -1

@@ -38,14 +38,17 @@ def test_every_entry_verifies(reference_entries):
     bad = [d for e, d in zip(new, details) if not e.verified]
     assert not bad, bad
     assert len(details) == 22
+    # no entry rests on one route
+    assert all(d.endswith("(burau and seifert match published)")
+               for d in details), details
 
 
 def test_verify_entry_detail_mentions_both_routes():
     _, detail = verify_entry(find_entry("3_1"))
     assert "seifert" in detail
-    # the mixed-sign word has no surface route
+    # the mixed-sign word is checked on the surface route too
     _, detail = verify_entry(find_entry("8_20"))
-    assert detail == "burau matches published"
+    assert detail == "burau and seifert match published"
 
 
 def test_verify_entry_flags_wrong_value():

@@ -1,9 +1,12 @@
 """Surface route: disks-and-bands data, Seifert matrices, Alexander values."""
 
-import pytest
-from hypothesis import given, settings
+import itertools
 
-from conftest import homogeneous_connected
+import pytest
+from hypothesis import assume, given, settings
+
+from conftest import any_words, homogeneous_connected
+from homolink.burau import alexander_via_burau
 from homolink.errors import DisconnectedWordError, InhomogeneousWordError
 from homolink.polynomials import LaurentPolynomial, det, equal_up_to_unit
 from homolink.seifert import (
@@ -17,7 +20,7 @@ from homolink.seifert import (
     surface_conway,
 )
 from homolink.skein import conway_skein
-from homolink.words import BraidWord, component_count, parse_word
+from homolink.words import BraidWord, component_count, connected, parse_word
 
 
 def test_surface_shape_trefoil():
@@ -118,6 +121,46 @@ def test_alexander_sign_rule():
 @settings(max_examples=120, deadline=None)
 def test_surface_route_matches_skein(w):
     assert surface_conway(w) == conway_skein(w)
+
+
+def test_surface_route_matches_burau_on_every_small_word():
+    # the disks-and-bands surface is a Seifert surface for every connected
+    # word, mixed signs included, so the two Alexander routes agree exactly
+    count = 0
+    for n in range(1, 4):
+        alphabet = [s * i for i in range(1, n) for s in (1, -1)]
+        for m in range(n - 1, 7):
+            for letters in itertools.product(alphabet, repeat=m):
+                if not connected(letters, n):
+                    continue
+                w = BraidWord(n, letters)
+                V = seifert_matrix(build_surface(w))
+                assert alexander_from_seifert(V) == alexander_via_burau(w), w
+                count += 1
+    assert count == 5335
+
+
+@given(any_words(max_n=5, max_m=10))
+@settings(max_examples=150, deadline=None)
+def test_surface_route_matches_burau(w):
+    assume(connected(w.letters, w.strands))
+    V = seifert_matrix(build_surface(w))
+    assert alexander_from_seifert(V) == alexander_via_burau(w)
+
+
+def test_inhomogeneous_8_20():
+    # the paper's inhomogeneous fibred knot: the braided surface is a Seifert
+    # surface (genus 3, not minimal), though not a fiber of this word
+    w = parse_word("1 1 1 -2 -1 -1 -1 -2")
+    V = seifert_matrix(build_surface(w))
+    assert V.dimension == 6
+    assert conway_from_seifert(V).as_dict() == {4: 1, 2: 2, 0: 1}
+    assert alexander_from_seifert(V).as_dict() == {
+        4: 1, 2: -2, 0: 3, -2: -2, -4: 1}
+    # a loop through one positive and one negative band has no self-linking
+    assert V.entries[V.loops.index((1, 3))][V.loops.index((1, 3))] == 0
+    with pytest.raises(InhomogeneousWordError):
+        decompose_murasugi(build_surface(w))
 
 
 @given(homogeneous_connected(max_n=4, max_m=7))
