@@ -330,6 +330,8 @@ def classify(space: SearchSpace) -> ClassificationReport:
 
 def bound_p(k: int) -> int:
     """Crude count of degree-k candidate words, Sum 2^n n^(k+n), n <= k."""
+    if k < 0:
+        raise ValueError(f"degree must be non-negative, got {k}")
     if k == 0:
         return 1
     return sum(2 ** n * n ** (k + n) for n in range(1, k + 1))
@@ -337,6 +339,8 @@ def bound_p(k: int) -> int:
 
 def bound_n(g: int) -> int:
     """Genus-g analogue of bound_p, Sum 2^n n^(2g+n) for n <= 2g."""
+    if g < 0:
+        raise ValueError(f"genus must be non-negative, got {g}")
     if g == 0:
         return 1
     return sum(2 ** n * n ** (2 * g + n) for n in range(1, 2 * g + 1))

@@ -19,22 +19,13 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DisconnectedWordError, InhomogeneousWordError
-from .polynomials import LaurentPolynomial, bareiss, det
+from .polynomials import (LaurentPolynomial, bareiss, identity, matmul,
+                          pencil_det, transpose)
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
 from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
                     sign_map, split_factors)
 
 _EPS = 1  # transvection sign for a positive twist, calibrated
-
-
-def _transpose(A):
-    return tuple(zip(*A))
-
-
-def _matmul(A, B):
-    cols = _transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                 for row in A)
 
 
 @dataclass(frozen=True)
@@ -69,8 +60,8 @@ class HomologyAction:
 
     def preserves_form(self) -> bool:
         M = self.matrix
-        return _matmul(_matmul(_transpose(M), self.intersection_form),
-                       M) == self.intersection_form
+        return matmul(matmul(transpose(M), self.intersection_form),
+                      M) == self.intersection_form
 
     def determinant(self) -> int:
         return bareiss([list(row) for row in self.matrix])
@@ -109,7 +100,7 @@ def homology_action(seq: TwistSequence, J) -> HomologyAction:
         raise ValueError(
             f"form dimension {len(J)} does not match {len(basis)} loops")
     index = {loop: a for a, loop in enumerate(basis)}
-    M = [[1 if r == c else 0 for c in range(k)] for r in range(k)]
+    M = [list(row) for row in identity(k)]
     for loop, s in seq.twists:
         # left-multiply by T^s = I + E, E[idx][l] = eps*s*J[l][idx]; only
         # row idx changes, and E[idx][idx] = 0 because J is skew
@@ -130,7 +121,7 @@ def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
     """
     k = V.dimension
     E = V.entries
-    rows = [list(E[r]) + list(col) for r, col in enumerate(_transpose(E))]
+    rows = [list(E[r]) + list(col) for r, col in enumerate(transpose(E))]
     d = bareiss(rows)
     if not d:
         raise RuntimeError(
@@ -152,28 +143,17 @@ def action_of_word(w: BraidWord) -> HomologyAction:
 def char_poly(action: HomologyAction) -> LaurentPolynomial:
     """det(tI - M), integer t-exponents (scale 1)."""
     M = action.matrix
-    k = len(M)
-    ent = []
-    for r in range(k):
-        row = []
-        for c in range(k):
-            e = {}
-            if r == c:
-                e[1] = 1
-            if M[r][c]:
-                e[0] = e.get(0, 0) - M[r][c]
-            row.append({ex: cf for ex, cf in e.items() if cf})
-        ent.append(row)
-    return LaurentPolynomial.from_dict(det(ent), scale=1)
+    negM = [[-v for v in row] for row in M]
+    return LaurentPolynomial.from_dict(
+        pencil_det(((1, identity(len(M))), (0, negM))), scale=1)
 
 
 def matrix_order(action: HomologyAction, cap: int = 512):
     """Smallest positive power equal to the identity, or None within cap."""
-    k = action.dimension
-    ident = tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
+    ident = identity(action.dimension)
     P = ident
     for order in range(1, cap + 1):
-        P = _matmul(P, action.matrix)
+        P = matmul(P, action.matrix)
         if P == ident:
             return order
     return None

@@ -11,7 +11,10 @@ with int keys and no stored zeros:
 All hot loops work on the raw dicts. The wrapper classes below fix the scale
 and keep a sorted coefficient tuple, so values are hashable, comparable and
 printable. Determinants are exact (no floats anywhere) and all run on one
-integer elimination, `bareiss`.
+integer elimination, `bareiss`. The small matrix layer next to it
+(`transpose`, `matmul`, `identity` on integer tuples, and `pencil_det` for
+det(sum t^e * A) over integer matrices A) is the only matrix code in the
+package.
 """
 
 from __future__ import annotations
@@ -121,6 +124,28 @@ def det(M):
         d = (d - c) >> B
         e += 1
     return out
+
+
+def pencil_det(terms):
+    """det(sum t^e * A) as a Laurent dict, over (e, A) pairs with distinct e
+    and integer k x k matrices A."""
+    k = len(terms[0][1])
+    return det([[{e: A[r][c] for e, A in terms if A[r][c]} for c in range(k)]
+                for r in range(k)])
+
+
+def transpose(A):
+    return tuple(zip(*A))
+
+
+def matmul(A, B):
+    cols = transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in A)
+
+
+def identity(k):
+    return tuple(tuple(int(r == c) for c in range(k)) for r in range(k))
 
 
 def z_extract(balanced):

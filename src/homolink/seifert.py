@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DisconnectedWordError, InhomogeneousWordError
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
-                          det, z_extract)
+                          pencil_det, transpose, z_extract)
 from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
                     sign_map, split_factors)
 
@@ -85,10 +85,19 @@ def build_surface(w: BraidWord) -> BraidedSurface:
 
 
 def knot_genus(w: BraidWord) -> int:
-    """Genus of the fiber surface, (1 + m - n) / 2, for knot closures."""
+    """Genus of a homogeneous knot closure, (1 + m - n) / 2.
+
+    The braided surface of a homogeneous word is a fiber, hence of minimal
+    genus. An inhomogeneous word's surface need not be: 8_20 closes
+    1 1 1 -2 -1 -1 -1 -2, whose surface has genus 3 while the knot has
+    genus 2, so such words are refused.
+    """
     from .words import component_count
     if component_count(w) != 1:
         raise ValueError(f"closure of {w} is not a knot")
+    if not homogeneous_letters(w.letters):
+        raise InhomogeneousWordError(
+            f"knot_genus needs a homogeneous word, got {w}")
     return (1 + len(w.letters) - w.strands) // 2
 
 
@@ -155,17 +164,8 @@ def seifert_matrix(s: BraidedSurface) -> SeifertMatrix:
 def _symmetrized_det(V: SeifertMatrix):
     """det(x*V - (1/x)*V^T) as a dict over x-exponents (x = t^(1/2))."""
     E = V.entries
-    k = len(E)
-    M = [[{} for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            ent = {}
-            if E[i][j]:
-                ent[1] = E[i][j]
-            if E[j][i]:
-                ent[-1] = ent.get(-1, 0) - E[j][i]
-            M[i][j] = {e: c for e, c in ent.items() if c}
-    return det(M)
+    return pencil_det(((1, E), (-1, [[-v for v in row]
+                                     for row in transpose(E)])))
 
 
 def conway_from_seifert(V: SeifertMatrix) -> ConwayPolynomial:

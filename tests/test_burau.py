@@ -1,4 +1,4 @@
-"""Reduced-Burau Alexander route, the engine that works on any braid word."""
+"""Unreduced-Burau Alexander route, the engine that works on any braid word."""
 
 from hypothesis import given, settings
 
@@ -34,6 +34,20 @@ def test_unreduced_matrix_shape():
     v = unreduced_burau(parse_word("1 -1"))
     ident = [[{0: 1}, {}], [{}, {0: 1}]]
     assert v == ident
+
+
+def burau(text, strands):
+    return unreduced_burau(parse_word(text, strands=strands))
+
+
+def test_braid_relations():
+    assert burau("1 2 1", 3) == burau("2 1 2", 3)
+    assert burau("-1 -2 -1", 3) == burau("-2 -1 -2", 3)
+    assert burau("1 3", 4) == burau("3 1", 4)
+    assert burau("1 3", 4) != burau("1 2", 4)
+    ident = [[{0: 1} if r == c else {} for c in range(3)] for r in range(3)]
+    assert burau("-2 2", 3) == ident
+    assert burau("", 3) == ident
 
 
 def test_row_sums_are_stochastic():

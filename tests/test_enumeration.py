@@ -135,6 +135,13 @@ def test_bounds():
     assert bound_n(1) == 66
 
 
+def test_bounds_refuse_negative_arguments():
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        bound_p(-1)
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        bound_n(-1)
+
+
 def test_raw_counts_respect_bounds():
     for k in (1, 2, 3):
         assert len(list(enumerate_words(SearchSpace(degree=k)))) <= bound_p(k)

@@ -15,11 +15,15 @@ from homolink.polynomials import (
     det,
     equal_up_to_unit,
     eshift,
+    identity,
+    matmul,
     mul,
     neg,
+    pencil_det,
     polynomial_from_json,
     smul,
     sub,
+    transpose,
     units_equal,
     z_extract,
     z_substitute,
@@ -129,6 +133,27 @@ def test_det_reaches_the_hadamard_bound():
     assert det(pencil) == clean(cofactor(pencil))
     scaled = [[{1: v, -1: v} for v in row] for row in HADAMARD]
     assert det(scaled) == {4: 16, 2: 64, 0: 96, -2: 64, -4: 16}
+
+
+def test_matrix_helpers():
+    A = ((1, 2), (3, 4))
+    assert transpose(A) == ((1, 3), (2, 4))
+    assert matmul(A, ((0, 1), (1, 0))) == ((2, 1), (4, 3))
+    assert matmul(identity(2), A) == A
+    assert identity(0) == ()
+
+
+def test_pencil_det():
+    # det(t*I - A) is the characteristic polynomial t^2 - 5t - 2
+    A = ((1, 2), (3, 4))
+    minus_a = [[-v for v in row] for row in A]
+    assert pencil_det(((1, identity(2)), (0, minus_a))) == {2: 1, 1: -5, 0: -2}
+    assert pencil_det(((1, ()), (0, ()))) == ONE
+    # x*H + x^-1*H^T, entries built the same way by hand
+    H = HADAMARD
+    by_hand = [[clean({1: H[r][c], -1: H[c][r]}) for c in range(4)]
+               for r in range(4)]
+    assert pencil_det(((1, H), (-1, transpose(H)))) == det(by_hand)
 
 
 def test_bareiss_determinant_and_solve():

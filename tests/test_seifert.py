@@ -163,6 +163,14 @@ def test_inhomogeneous_8_20():
         decompose_murasugi(build_surface(w))
 
 
+def test_knot_genus_refuses_inhomogeneous_words():
+    # the braided surface of 8_20's word has genus 3, the knot genus 2
+    with pytest.raises(InhomogeneousWordError):
+        knot_genus(parse_word("1 1 1 -2 -1 -1 -1 -2"))
+    assert knot_genus(parse_word("1 1 1")) == 1
+    assert knot_genus(parse_word("-1 2 -1 2")) == 1
+
+
 @given(homogeneous_connected(max_n=4, max_m=7))
 @settings(max_examples=100, deadline=None)
 def test_intersection_form_is_unimodular_for_knots(w):
