@@ -4,9 +4,10 @@ Subcommands: analyze, enumerate, monodromy, verify-table, bounds.
 Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too)
 or an output file that cannot be written, 3 disconnected word (split
 factors listed), 4 inhomogeneous input where homogeneity is required, 5
-work cap exceeded. Output is deterministic for a fixed configuration;
-JSON reports carry a "schema": 1 version field, all file I/O is UTF-8 and
-every file is written atomically.
+work cap exceeded. Engines and commands refuse by raising; `main` alone
+maps each error type to its exit code and stderr lines. Output is
+deterministic for a fixed configuration; JSON reports carry a "schema": 1
+version field, all file I/O is UTF-8 and every file is written atomically.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
                         twist_sequence)
 from .polynomials import ConwayPolynomial, equal_up_to_unit
-from .reference import parse_entry, verify_table, write_table, write_text
+from .reference import table_rows, verify_table, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
-                      conway_from_seifert, seifert_matrix)
+                      conway_from_seifert, knot_genus, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
-from .words import (BraidWord, component_count, connected, exponent_profile,
+from .words import (BraidWord, component_count, exponent_profile,
                     homogeneous_letters, normalize_nonweak, parse_word,
-                    split_factors, weak_indices)
+                    require_connected, require_homogeneous, weak_indices)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,13 +55,6 @@ def _word_str(w: BraidWord) -> str:
     return " ".join(str(x) for x in w.letters)
 
 
-def _disconnected(w: BraidWord) -> int:
-    sys.stderr.write("disconnected word; split closure with factors:\n")
-    for f in split_factors(w):
-        sys.stderr.write(f"  [{_word_str(f)}] on {f.strands} strands\n")
-    return EXIT_DISCONNECTED
-
-
 def _write(writer, data, path) -> int:
     """writer(data, path); a file that cannot be written is one stderr line
     and EXIT_PARSE."""
@@ -73,13 +67,8 @@ def _write(writer, data, path) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        w = parse_word(args.word, args.strands)
-    except BraidSyntaxError as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
-
-    if w.letters and not connected(w.letters, w.strands):
-        return _disconnected(w)
+    w = parse_word(args.word, args.strands)
+    require_connected(w, "analyze")
 
     profile = exponent_profile(w)
     homogeneous = homogeneous_letters(w.letters)
@@ -110,7 +99,7 @@ def cmd_analyze(args) -> int:
         report["degree"] = deg
         report["leading_coefficient"] = lead
         if comps == 1:
-            report["genus"] = (1 + len(norm.letters) - norm.strands) // 2
+            report["genus"] = knot_genus(norm)
         skein = conway_skein(w)
         surface = conway_from_seifert(seifert_matrix(build_surface(w)))
         report["conway_skein"] = skein.to_json()
@@ -118,7 +107,7 @@ def cmd_analyze(args) -> int:
         report["routes_agree"] = skein == surface
 
     jones = None
-    if len(w.letters) <= args.kauffman_cap:
+    if len(w.letters) <= JONES_LENGTH_CAP:
         jones = jones_polynomial(w)
     report["jones"] = None if jones is None else jones.to_json()
 
@@ -149,19 +138,15 @@ def cmd_analyze(args) -> int:
               "homogeneous word, reporting determinant-route alexander only")
     _emit(f"alexander (symmetric): {alex}")
     if jones is None:
-        _emit(f"jones: skipped (length over cap {args.kauffman_cap})")
+        _emit(f"jones: skipped (length over cap {JONES_LENGTH_CAP})")
     else:
         _emit(f"jones: {jones}")
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    space = SearchSpace(degree=args.degree, genus=args.genus,
-                        cap=args.search_cap)
-    try:
-        report = classify(space)
-    except CapExceededError as exc:
-        return _fail(EXIT_CAP, f"cap exceeded: {exc}")
+    space = SearchSpace(degree=args.degree, genus=args.genus)
+    report = classify(space)
 
     payload = report_to_json(report)
     csv_text = report_to_csv(report)
@@ -192,16 +177,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    try:
-        w = parse_word(args.word, args.strands)
-    except BraidSyntaxError as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
-    if not homogeneous_letters(w.letters):
-        return _fail(EXIT_INHOMOGENEOUS,
-                     "monodromy needs a homogeneous word")
-    if w.letters and not connected(w.letters, w.strands):
-        return _disconnected(w)
-
+    w = parse_word(args.word, args.strands)
+    require_homogeneous(w, "monodromy")
     norm = normalize_nonweak(w)
     seq = twist_sequence(norm)
     V = seifert_matrix(build_surface(norm))
@@ -259,32 +236,22 @@ def cmd_verify_table(args) -> int:
                                  "verify-table never rewrites its input")
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            rows = list(table_rows(fh.read()))
     except OSError as exc:
         return _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
 
-    # one slot per non-blank line: a malformed-line message, or None where
-    # the entry's verification detail goes
-    parsed, results = [], []
-    for ln, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            parsed.append(parse_entry(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            results.append(f"line {ln}: malformed entry skipped ({exc})")
-            continue
-        results.append(None)
-    entries, details = verify_table(parsed)
+    entries, details = verify_table(
+        [row for _, row in rows if not isinstance(row, Exception)])
     if _write(write_table, entries, out_path):
         return EXIT_PARSE
 
     details = iter(details)
-    for line in results:
-        _emit(next(details) if line is None else line)
+    for ln, row in rows:
+        _emit(f"line {ln}: malformed entry skipped ({row})"
+              if isinstance(row, Exception) else next(details))
     ok_count = sum(entry.verified for entry in entries)
     _emit(f"verified {ok_count}, failed {len(entries) - ok_count}, "
-          f"malformed {len(results) - len(entries)}; wrote {out_path}")
+          f"malformed {len(rows) - len(entries)}; wrote {out_path}")
     return EXIT_OK
 
 
@@ -314,13 +281,11 @@ def _build_parser():
 
     sp = sub.add_parser("analyze", help="invariants of one closure")
     add_word(sp)
-    sp.add_argument("--kauffman-cap", type=int, default=JONES_LENGTH_CAP)
 
     sp = sub.add_parser("enumerate", help="classify a degree or genus range")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--degree", type=int)
     group.add_argument("--genus", type=int)
-    sp.add_argument("--cap", dest="search_cap", type=int, default=6)
     sp.add_argument("--format", dest="fmt", default="text",
                     choices=("text", "json", "csv"))
     sp.add_argument("--json", dest="json_path", default=None,
@@ -361,17 +326,17 @@ def main(argv=None) -> int:
                          f"--{flag} must be non-negative, got {value}")
     try:
         return _COMMANDS[args.subcommand](args)
+    except BraidSyntaxError as exc:
+        return _fail(EXIT_PARSE, f"parse error: {exc}")
     except DisconnectedWordError as exc:
-        msg = str(exc)
-        for f in exc.factors:
-            msg += f"\n  factor: [{_word_str(f)}] on {f.strands} strands"
-        return _fail(EXIT_DISCONNECTED, msg)
+        return _fail(EXIT_DISCONNECTED, "\n".join(
+            ["disconnected word; split closure with factors:"]
+            + [f"  [{_word_str(f)}] on {f.strands} strands"
+               for f in exc.factors]))
     except InhomogeneousWordError as exc:
         return _fail(EXIT_INHOMOGENEOUS, str(exc))
     except CapExceededError as exc:
-        return _fail(EXIT_CAP, str(exc))
-    except BraidSyntaxError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        return _fail(EXIT_CAP, f"cap exceeded: {exc}")
 
 
 if __name__ == "__main__":

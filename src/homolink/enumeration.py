@@ -32,6 +32,9 @@ from .polynomials import eshift
 from .seifert import build_surface, conway_from_seifert, seifert_matrix
 from .words import BraidWord, component_count, connected
 
+# Largest degree or genus a search space may ask for.
+SEARCH_CAP = 6
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -39,7 +42,6 @@ class SearchSpace:
 
     degree: int | None = None
     genus: int | None = None
-    cap: int = 6
 
     def __post_init__(self):
         if (self.degree is None) == (self.genus is None):
@@ -138,9 +140,9 @@ def candidates_with_counts(n: int, m: int):
 
 def _space_stream(space: SearchSpace, per_length):
     """per_length(n, m) over the space's (n, m); refuses a space over cap."""
-    if space.parameter > space.cap:
+    if space.parameter > SEARCH_CAP:
         raise CapExceededError(
-            f"search parameter {space.parameter} exceeds cap {space.cap}")
+            f"search parameter {space.parameter} exceeds cap {SEARCH_CAP}")
 
     def gen():
         if space.parameter == 0:
@@ -338,12 +340,10 @@ def bound_p(k: int) -> int:
 
 
 def bound_n(g: int) -> int:
-    """Genus-g analogue of bound_p, Sum 2^n n^(2g+n) for n <= 2g."""
+    """Genus-g analogue of bound_p: a genus-g knot has Conway degree 2g."""
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
-    if g == 0:
-        return 1
-    return sum(2 ** n * n ** (2 * g + n) for n in range(1, 2 * g + 1))
+    return bound_p(2 * g)
 
 
 def check_membership(entry, space: SearchSpace) -> bool:
@@ -375,7 +375,7 @@ def report_to_json(report: ClassificationReport) -> dict:
     return {
         "schema": 1,
         "space": {"degree": space.degree, "genus": space.genus,
-                  "cap": space.cap},
+                  "cap": SEARCH_CAP},
         "classes": [
             {
                 "representative": {"n": c.representative.strands,

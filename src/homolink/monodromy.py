@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import DisconnectedWordError, InhomogeneousWordError
 from .polynomials import (LaurentPolynomial, bareiss, identity, matmul,
                           pencil_det, transpose)
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
-from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
-                    sign_map, split_factors)
+from .words import (BraidWord, letter_counts, require_connected,
+                    require_homogeneous, sign_map)
 
 _EPS = 1  # transvection sign for a positive twist, calibrated
 
@@ -74,13 +73,8 @@ def twist_sequence(w: BraidWord) -> TwistSequence:
     come out reversed and negated. Total length is m - n + 1 for any
     connected word.
     """
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(
-            f"twist_sequence needs a homogeneous word, got {w}")
-    if not connected(w.letters, w.strands):
-        raise DisconnectedWordError(
-            f"twist_sequence needs a connected word, {w} skips a generator",
-            factors=split_factors(w))
+    require_homogeneous(w, "twist_sequence")
+    require_connected(w, "twist_sequence")
     q = letter_counts(w.letters, w.strands)
     sgn = sign_map(w.letters)
     out = []

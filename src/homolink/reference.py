@@ -56,6 +56,19 @@ def entry_to_json(entry: ReferenceEntry) -> dict:
     return out
 
 
+def table_rows(text):
+    """(line number, entry) for each non-blank line of a JSONL table; a
+    line that does not parse yields its exception in place of the entry."""
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = parse_entry(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            row = exc
+        yield ln, row
+
+
 def load_reference_table(path=None) -> list:
     """All entries from the given JSONL file, or the shipped table."""
     if path is None:
@@ -65,14 +78,10 @@ def load_reference_table(path=None) -> list:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     entries = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entries.append(parse_entry(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"reference table line {ln}: {exc}") from exc
+    for ln, row in table_rows(text):
+        if isinstance(row, Exception):
+            raise ValueError(f"reference table line {ln}: {row}") from row
+        entries.append(row)
     return entries
 
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DisconnectedWordError, InhomogeneousWordError
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
                           pencil_det, transpose, z_extract)
-from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
-                    sign_map, split_factors)
+from .words import (BraidWord, component_count, letter_counts,
+                    require_connected, require_homogeneous, sign_map)
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,9 @@ def knot_genus(w: BraidWord) -> int:
     1 1 1 -2 -1 -1 -1 -2, whose surface has genus 3 while the knot has
     genus 2, so such words are refused.
     """
-    from .words import component_count
     if component_count(w) != 1:
         raise ValueError(f"closure of {w} is not a knot")
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(
-            f"knot_genus needs a homogeneous word, got {w}")
+    require_homogeneous(w, "knot_genus")
     return (1 + len(w.letters) - w.strands) // 2
 
 
@@ -108,13 +104,8 @@ def decompose_murasugi(s: BraidedSurface) -> list:
     surface is their iterated Murasugi sum along the shared disks.
     """
     w = s.word
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(
-            f"decompose_murasugi needs a homogeneous word, got {w}")
-    if not connected(w.letters, w.strands):
-        raise DisconnectedWordError(
-            f"decompose_murasugi needs a connected word, {w} skips a "
-            "generator", factors=split_factors(w))
+    require_homogeneous(w, "decompose_murasugi")
+    require_connected(w, "decompose_murasugi")
     q = letter_counts(w.letters, w.strands)
     sgn = sign_map(w.letters)
     return [(i, sgn[i], q[i]) for i in range(1, w.strands)]
@@ -131,11 +122,7 @@ _CROSS_CLOSE = (0, -1)    # right loop's second band inside the left loop
 
 def seifert_matrix(s: BraidedSurface) -> SeifertMatrix:
     """Seifert matrix of the surface of any connected word, mixed signs too."""
-    w = s.word
-    if not connected(w.letters, w.strands):
-        raise DisconnectedWordError(
-            f"seifert_matrix needs a connected word, {w} skips a generator",
-            factors=split_factors(w))
+    require_connected(s.word, "seifert_matrix")
     eps = [sign for _, _, sign in s.bands]
     pos = {(i, j): p for p, (i, j, _) in enumerate(s.bands)}
     # per basis loop: its column and the word positions of its two bands

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DisconnectedWordError, InhomogeneousWordError
 from .polynomials import ONE, ConwayPolynomial, add, eshift, smul, sub
-from .words import (BraidWord, connected, homogeneous_letters, letter_counts,
-                    min_rotation, shift_letters, sign_map, split_factors)
+from .words import (BraidWord, letter_counts, min_rotation, require_connected,
+                    require_homogeneous, shift_letters, sign_map)
 
 
 def complexity(w: BraidWord) -> tuple:
@@ -146,13 +145,9 @@ def conway_skein(w: BraidWord) -> ConwayPolynomial:
     occurs) or empty; a split non-empty word is rejected with its factors
     attached rather than silently returning 0.
     """
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(
-            f"conway_skein needs a homogeneous word, got {w}")
-    if w.letters and not connected(w.letters, w.strands):
-        raise DisconnectedWordError(
-            f"split closure: {w} skips a generator",
-            factors=split_factors(w))
+    require_homogeneous(w, "conway_skein")
+    if w.letters:
+        require_connected(w, "conway_skein")
     if len(_memo) > _MEMO_LIMIT:
         _memo.clear()
     return ConwayPolynomial.from_dict(_conway(w.letters, w.strands))
@@ -165,9 +160,7 @@ def reduction_step(w: BraidWord) -> SkeinStep:
     checking that every child has strictly smaller complexity exercises the
     actual termination argument.
     """
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(
-            f"reduction_step needs a homogeneous word, got {w}")
+    require_homogeneous(w, "reduction_step")
     kind, _, ch = _reduce(w.letters, w.strands)
     return SkeinStep(kind, tuple(BraidWord(cn, cw) for cw, cn in ch))
 
@@ -180,15 +173,10 @@ def degree_and_leading(w: BraidWord) -> tuple:
     first product up to n, one past where alpha is defined; we take it over
     i in [1, n-1].
     """
-    if not homogeneous_letters(w.letters):
-        raise InhomogeneousWordError(
-            f"degree_and_leading needs a homogeneous word, got {w}")
+    require_homogeneous(w, "degree_and_leading")
     if not w.letters:
         raise ValueError("degree_and_leading needs a non-empty word")
-    if not connected(w.letters, w.strands):
-        raise DisconnectedWordError(
-            f"split closure: {w} skips a generator",
-            factors=split_factors(w))
+    require_connected(w, "degree_and_leading")
     lead = 1
     for s in sign_map(w.letters).values():
         lead *= s

@@ -9,14 +9,17 @@ exactly once (weak indices), how strands are permuted.
 
 The raw helpers at the bottom operate on plain (letters, n) pairs and are
 shared by the invariant engines; the public operations wrap them in
-BraidWord values.
+BraidWord values. require_homogeneous and require_connected are the one
+precondition layer: every engine refuses a word through them, and nothing
+else raises InhomogeneousWordError or DisconnectedWordError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BraidSyntaxError, DisconnectedWordError
+from .errors import (BraidSyntaxError, DisconnectedWordError,
+                     InhomogeneousWordError)
 
 
 @dataclass(frozen=True)
@@ -174,27 +177,38 @@ def shift(w: BraidWord, i: int) -> BraidWord:
 def normalize_nonweak(w: BraidWord) -> BraidWord:
     """Shift away weak indices (smallest first) until none remain.
 
-    A fully reducible word collapses to the empty word on one strand. If the
-    fixed point is non-empty but skips a generator, the closure is a split
-    link; that raises DisconnectedWordError carrying the connected factors.
+    A split closure raises DisconnectedWordError carrying its connected
+    factors. Shifting keeps a connected word connected, so a fully
+    reducible word ends as the empty word on one strand.
     """
+    require_connected(w, "normalize_nonweak")
     word, n = w.letters, w.strands
     while True:
         q = letter_counts(word, n)
         wk = [i for i in range(1, n) if q[i] == 1]
         if not wk:
-            break
+            return BraidWord(n, word)
         word = shift_letters(word, wk[0])
         n -= 1
-    if not word:
-        return BraidWord(1, ())
-    q = letter_counts(word, n)
-    if any(q[i] == 0 for i in range(1, n)):
-        out = BraidWord(n, word)
+
+
+def require_homogeneous(w: BraidWord, what: str) -> None:
+    """Refuse a word in which some generator occurs with both signs."""
+    if not homogeneous_letters(w.letters):
+        raise InhomogeneousWordError(
+            f"{what} needs a homogeneous word, got {w}")
+
+
+def require_connected(w: BraidWord, what: str) -> None:
+    """Refuse a split closure, attaching its connected factors.
+
+    A word is connected when every generator occurs, so the empty word is
+    connected only on one strand.
+    """
+    if not connected(w.letters, w.strands):
         raise DisconnectedWordError(
-            f"split closure: word {out} skips a generator",
-            factors=split_factors(out))
-    return BraidWord(n, word)
+            f"{what} needs a connected word, {w} skips a generator",
+            factors=split_factors(w))
 
 
 def split_factors(w: BraidWord) -> list:
@@ -312,5 +326,6 @@ def min_rotation(letters):
 
 
 def connected(letters, n) -> bool:
+    """Every generator occurs; False for the empty word on n >= 2."""
     q = letter_counts(letters, n)
     return all(q[i] > 0 for i in range(1, n))

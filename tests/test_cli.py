@@ -71,9 +71,9 @@ def test_analyze_inhomogeneous_still_reports_alexander(capsys):
 
 
 def test_analyze_jones_cap(capsys):
-    code, out, _ = run(capsys, "analyze", "1 1 1", "--kauffman-cap", "2")
+    code, out, _ = run(capsys, "analyze", " ".join(["1"] * 17))
     assert code == EXIT_OK
-    assert "jones: skipped" in out
+    assert "jones: skipped (length over cap 16)" in out
 
 
 def test_analyze_parse_error(capsys):
@@ -252,6 +252,28 @@ def test_disconnected_report_is_shared(capsys):
     assert code == EXIT_DISCONNECTED and out == ""
     assert err.startswith("disconnected word; split closure with factors:\n")
     assert "  [1 -2 1] on 3 strands\n" in err
+
+
+SPLIT = "disconnected word; split closure with factors:\n"
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "monodromy"])
+@pytest.mark.parametrize("argv, code, err", [
+    (("1 x 2",), EXIT_PARSE, "parse error: not an integer token: 'x'\n"),
+    (("1 1", "--strands", "4"), EXIT_DISCONNECTED,
+     SPLIT + "  [1 1] on 2 strands\n" + "  [] on 1 strands\n" * 2),
+    # the empty word on 3 strands is a 3-component unlink, not the unknot
+    (("", "--strands", "3"), EXIT_DISCONNECTED,
+     SPLIT + "  [] on 1 strands\n" * 3),
+], ids=["parse", "split", "empty-on-3"])
+def test_analyze_and_monodromy_refuse_alike(capsys, cmd, argv, code, err):
+    assert run(capsys, cmd, *argv) == (code, "", err)
+
+
+def test_monodromy_inhomogeneous_names_the_word(capsys):
+    code, out, err = run(capsys, "monodromy", "1 -1")
+    assert code == EXIT_INHOMOGENEOUS and out == ""
+    assert err == "monodromy needs a homogeneous word, got 1 -1 on 2 strands\n"
 
 
 @pytest.mark.parametrize("argv, message", [

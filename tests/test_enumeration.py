@@ -69,7 +69,6 @@ def test_cap():
     for stream in (enumerate_words, orbit_candidates):
         with pytest.raises(CapExceededError):
             stream(SearchSpace(degree=7))
-        assert next(stream(SearchSpace(degree=7, cap=7)))
 
 
 def test_classify_refuses_over_cap_before_generating(monkeypatch):
@@ -133,6 +132,12 @@ def test_bounds():
     assert bound_p(3) == 5962
     assert bound_n(0) == 1
     assert bound_n(1) == 66
+
+
+def test_genus_bound_is_degree_bound_at_twice_the_genus():
+    # a genus-g knot has Conway degree 2g
+    for g in range(4):
+        assert bound_n(g) == bound_p(2 * g)
 
 
 def test_bounds_refuse_negative_arguments():
@@ -220,6 +225,44 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not found, f"{path.name} has assert on lines {found}"
+
+
+def test_refusals_raised_in_words_and_caught_in_cli_main():
+    # one precondition layer and one handler: only words.py raises the
+    # word-shape errors, and cli.py catches package errors only in main
+    import ast
+    from pathlib import Path
+
+    import homolink
+    from homolink import errors
+    package_errors = {name for name, obj in vars(errors).items()
+                      if isinstance(obj, type) and issubclass(obj, ValueError)
+                      and obj.__module__ == errors.__name__}
+    shape_errors = {"DisconnectedWordError", "InhomogeneousWordError"}
+
+    def name_of(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    for path in sorted(Path(homolink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        raised = {name_of(n.exc) for n in ast.walk(tree)
+                  if isinstance(n, ast.Raise) and n.exc is not None}
+        if path.name != "words.py":
+            assert not raised & shape_errors, path.name
+        if path.name != "cli.py":
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+                continue
+            caught = set()
+            for h in ast.walk(fn):
+                if isinstance(h, ast.ExceptHandler) and h.type is not None:
+                    types = (h.type.elts if isinstance(h.type, ast.Tuple)
+                             else [h.type])
+                    caught |= {name_of(t) for t in types}
+            assert not caught & (package_errors | {"ValueError"}), fn.name
 
 
 def test_membership():

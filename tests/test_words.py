@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
-                      component_count, cyclic_permute, exponent_profile,
-                      far_commute, is_homogeneous, normalize_nonweak,
-                      parse_word, permutation, shift, split_factors,
-                      surface_conway, weak_indices, word_from_json,
-                      word_to_json)
+                      InhomogeneousWordError, build_surface, component_count,
+                      conway_skein, cyclic_permute, decompose_murasugi,
+                      degree_and_leading, exponent_profile, far_commute,
+                      is_homogeneous, knot_genus, normalize_nonweak,
+                      parse_word, permutation, reduction_step, seifert_matrix,
+                      shift, split_factors, surface_conway, twist_sequence,
+                      weak_indices, word_from_json, word_to_json)
 from homolink.words import connected, homogeneous_letters
 
 from conftest import any_words, homogeneous_connected
@@ -92,7 +94,12 @@ def test_shift_out_of_range():
 
 
 def test_normalize_examples():
-    assert normalize_nonweak(parse_word("1 3 -5", 6)) == BraidWord(1, ())
+    # each closes to a 3-component unlink, not the unknot
+    for w in (parse_word("1 3 -5", 6), BraidWord(3, ())):
+        with pytest.raises(DisconnectedWordError) as err:
+            normalize_nonweak(w)
+        assert list(err.value.factors) == split_factors(w)
+    assert normalize_nonweak(parse_word("1 2")) == BraidWord(1, ())
     assert normalize_nonweak(parse_word("1 1 2")) == BraidWord(2, (1, 1))
     w = parse_word("1 1")
     assert normalize_nonweak(w) == w
@@ -103,6 +110,41 @@ def test_normalize_disconnected_reports_factors():
         normalize_nonweak(BraidWord(5, (1, 1, 3, 3, 3)))
     # strand 5 sits beyond the last used column: a split unknot factor
     assert [f.letters for f in err.value.factors] == [(1, 1), (1, 1, 1), ()]
+
+
+def _surface_engine(engine):
+    return lambda w: engine(build_surface(w))
+
+
+# (name, engine, refuses a split word, refuses an inhomogeneous word) for
+# every engine that refuses either; reduction_step reports a split word as
+# a step, and knot_genus refuses a link before it looks at signs
+REFUSING_ENGINES = [
+    ("normalize_nonweak", normalize_nonweak, True, False),
+    ("conway_skein", conway_skein, True, True),
+    ("reduction_step", reduction_step, False, True),
+    ("degree_and_leading", degree_and_leading, True, True),
+    ("knot_genus", knot_genus, False, True),
+    ("decompose_murasugi", _surface_engine(decompose_murasugi), True, True),
+    ("seifert_matrix", _surface_engine(seifert_matrix), True, False),
+    ("twist_sequence", twist_sequence, True, True),
+]
+
+
+@pytest.mark.parametrize("name, engine, split, inhomogeneous",
+                         REFUSING_ENGINES,
+                         ids=[row[0] for row in REFUSING_ENGINES])
+def test_engines_refuse_through_the_word_preconditions(name, engine, split,
+                                                       inhomogeneous):
+    if split:
+        w = parse_word("1 1 -3 -3", 4)
+        with pytest.raises(DisconnectedWordError) as err:
+            engine(w)
+        assert list(err.value.factors) == split_factors(w)
+    if inhomogeneous:
+        # 8_20: a connected knot word with both signs of sigma_1
+        with pytest.raises(InhomogeneousWordError, match=name):
+            engine(parse_word("1 1 1 -2 -1 -1 -1 -2"))
 
 
 def test_split_factors_counts_unknot_gaps():
