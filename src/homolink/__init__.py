@@ -32,9 +32,9 @@ from .monodromy import (HomologyAction, TwistSequence, action_of_word,
                         twist_sequence)
 from .enumeration import (ClassificationReport, LinkClass, LinkSignature,
                           SearchSpace, bound_n, bound_p, check_membership,
-                          classify, enumerate_words, link_signature,
-                          orbit_canonical, report_to_csv, report_to_json,
-                          symmetry_reduce, words_with_counts)
+                          class_key, classify, enumerate_words,
+                          link_signature, orbit_canonical, report_to_csv,
+                          report_to_json, symmetry_reduce, words_with_counts)
 from .reference import (ReferenceEntry, entry_signature, find_entry,
                         load_reference_table, verify_entry, verify_table,
                         write_table)
@@ -61,9 +61,9 @@ __all__ = [
     "homology_action", "matrix_order", "monodromy_from_seifert",
     "monodromy_order_bound", "twist_sequence",
     "ClassificationReport", "LinkClass", "LinkSignature", "SearchSpace",
-    "bound_n", "bound_p", "check_membership", "classify", "enumerate_words",
-    "link_signature", "orbit_canonical", "report_to_csv", "report_to_json",
-    "symmetry_reduce", "words_with_counts",
+    "bound_n", "bound_p", "check_membership", "class_key", "classify",
+    "enumerate_words", "link_signature", "orbit_canonical", "report_to_csv",
+    "report_to_json", "symmetry_reduce", "words_with_counts",
     "ReferenceEntry", "entry_signature", "find_entry",
     "load_reference_table", "verify_entry", "verify_table", "write_table",
     "__version__",

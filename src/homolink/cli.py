@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Subcommands: analyze, enumerate, monodromy, verify-table, bounds.
-Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too)
-or an output file that cannot be written, 3 disconnected word (split
-factors listed), 4 inhomogeneous input where homogeneity is required, 5
-work cap exceeded. Engines and commands refuse by raising; `main` alone
-maps each error type to its exit code and stderr lines. Output is
-deterministic for a fixed configuration; JSON reports carry a "schema": 1
-version field, all file I/O is UTF-8 and every file is written atomically.
+Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too),
+an output file that cannot be written or a reference-table defect (two
+verified entries with one signature; one `table defect: ...` line), 3
+disconnected word (split factors listed), 4 inhomogeneous input where
+homogeneity is required, 5 work cap exceeded. A word that is both split
+and inhomogeneous is refused as split by every command. Engines and
+commands refuse by raising; `main` alone maps each error type to its exit
+code and stderr lines. Output is deterministic for a fixed configuration;
+JSON reports carry a "schema": 1 version field, all file I/O is UTF-8 and
+every file is written atomically.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .burau import alexander_via_burau
 from .enumeration import (SearchSpace, bound_n, bound_p, classify,
                           report_to_csv, report_to_json)
 from .errors import (BraidSyntaxError, CapExceededError,
-                     DisconnectedWordError, InhomogeneousWordError)
+                     DisconnectedWordError, InhomogeneousWordError,
+                     TableDefectError)
 from .jones import JONES_LENGTH_CAP, jones_polynomial
 from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
@@ -178,6 +182,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_monodromy(args) -> int:
     w = parse_word(args.word, args.strands)
+    require_connected(w, "monodromy")
     require_homogeneous(w, "monodromy")
     norm = normalize_nonweak(w)
     seq = twist_sequence(norm)
@@ -337,6 +342,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_INHOMOGENEOUS, str(exc))
     except CapExceededError as exc:
         return _fail(EXIT_CAP, f"cap exceeded: {exc}")
+    except TableDefectError as exc:
+        return _fail(EXIT_PARSE, f"table defect: {exc}")
 
 
 if __name__ == "__main__":

@@ -265,9 +265,23 @@ SPLIT = "disconnected word; split closure with factors:\n"
     # the empty word on 3 strands is a 3-component unlink, not the unknot
     (("", "--strands", "3"), EXIT_DISCONNECTED,
      SPLIT + "  [] on 1 strands\n" * 3),
-], ids=["parse", "split", "empty-on-3"])
+    # split and inhomogeneous: refused as split by both commands
+    (("1 -1 3 3", "--strands", "4"), EXIT_DISCONNECTED,
+     SPLIT + "  [1 -1] on 2 strands\n  [1 1] on 2 strands\n"),
+], ids=["parse", "split", "empty-on-3", "split-inhomogeneous"])
 def test_analyze_and_monodromy_refuse_alike(capsys, cmd, argv, code, err):
     assert run(capsys, cmd, *argv) == (code, "", err)
+
+
+def test_table_defect_is_one_line_and_exit_2(capsys, monkeypatch):
+    from dataclasses import replace
+    hopf = find_entry("hopf")
+    monkeypatch.setattr("homolink.reference.load_reference_table",
+                        lambda path=None: [hopf, replace(hopf, name="hopf_2")])
+    assert run(capsys, "enumerate", "--degree", "1") == (
+        EXIT_PARSE, "",
+        "table defect: reference entries hopf and hopf_2 share a signature; "
+        "fix the table before classifying\n")
 
 
 def test_monodromy_inhomogeneous_names_the_word(capsys):

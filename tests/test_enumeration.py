@@ -1,7 +1,7 @@
 """Search spaces, symmetry reduction, signatures and classification."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import homogeneous_connected
 from homolink.enumeration import (
@@ -12,6 +12,7 @@ from homolink.enumeration import (
     bound_n,
     bound_p,
     check_membership,
+    class_key,
     classify,
     enumerate_words,
     link_signature,
@@ -24,8 +25,9 @@ from homolink.enumeration import (
 )
 from homolink.errors import CapExceededError
 from homolink.reference import find_entry
-from homolink.words import (BraidWord, connected, homogeneous_letters,
-                            parse_word, weak_indices)
+from homolink.words import (BraidWord, connected, cyclic_permute,
+                            far_commute, homogeneous_letters, parse_word,
+                            weak_indices)
 
 SMALL_SPACES = ([SearchSpace(degree=k) for k in range(5)]
                 + [SearchSpace(genus=g) for g in range(3)])
@@ -124,6 +126,95 @@ def test_orbit_canonical_identifies_symmetries():
     for v in (mirror, reverse, flip, rot):
         assert orbit_canonical(v) == canon
     assert len(symmetry_reduce([w, mirror, reverse, flip, rot])) == 1
+
+
+def _far_swap_classes(reps):
+    """Oracle: orbits merged with the orbits one far swap away."""
+    index = {w: i for i, w in enumerate(reps)}
+    parent = list(range(len(reps)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, w in enumerate(reps):
+        m = len(w.letters)
+        for j in range(m if m > 1 else 0):
+            v = cyclic_permute(w, j)     # j = m - 1 brings the wrap pair up
+            if abs(abs(v.letters[0]) - abs(v.letters[1])) >= 2:
+                u = far_commute(v, 1)
+                parent[root(i)] = root(
+                    index[BraidWord(u.strands, orbit_canonical(u))])
+    classes = {}
+    for i in range(len(reps)):
+        classes.setdefault(root(i), []).append(i)
+    return sorted(classes.values())
+
+
+def _key_classes(reps):
+    classes = {}
+    for i, w in enumerate(reps):
+        classes.setdefault(class_key(w), []).append(i)
+    return sorted(classes.values())
+
+
+@pytest.mark.parametrize("space", SMALL_SPACES,
+                         ids=lambda s: f"degree{s.degree}-genus{s.genus}")
+def test_class_key_partition_is_one_far_swap_closure(space):
+    reps = symmetry_reduce(orbit_candidates(space))
+    assert _key_classes(reps) == _far_swap_classes(reps)
+
+
+def test_class_counts():
+    counts = [len(_key_classes(symmetry_reduce(orbit_candidates(
+        SearchSpace(degree=k))))) for k in range(5)]
+    assert counts == [1, 1, 5, 18, 119]
+
+
+def test_classify_computes_one_signature_per_class(monkeypatch):
+    from homolink import enumeration
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return link_signature(w)
+
+    monkeypatch.setattr(enumeration, "link_signature", counted)
+    report = classify(SearchSpace(degree=4))
+    assert len(calls) == 119
+    assert sum(c.size for c in report.classes) == 873
+
+
+@st.composite
+def far_commutation_moves(draw):
+    """A word, one of its rotations with a far swap, and its symmetries."""
+    w = draw(homogeneous_connected(max_n=5, max_m=10))
+    n, m = w.strands, len(w.letters)
+    v = cyclic_permute(w, draw(st.integers(0, max(m - 1, 0))))
+    far = [j for j in range(1, m + 1)
+           if abs(abs(v.letters[j - 1]) - abs(v.letters[j % m])) >= 2]
+    if far:
+        j = draw(st.sampled_from(far))
+        if j == m:                      # the wrap-around pair
+            v = cyclic_permute(far_commute(cyclic_permute(v, -1), 1), 1)
+        else:
+            v = far_commute(v, j)
+    letters = v.letters
+    flip = tuple((1 if x > 0 else -1) * (n - abs(x)) for x in letters)
+    return w, [v] + [BraidWord(n, t) for t in (
+        tuple(-x for x in letters), letters[::-1], flip)]
+
+
+@given(far_commutation_moves())
+@settings(max_examples=60, deadline=None)
+def test_signature_and_class_key_survive_far_commutation(moves):
+    # the fact classify rests on, checked on the engines' values
+    w, images = moves
+    sig, key = link_signature(w), class_key(w)
+    for v in images:
+        assert class_key(v) == key
+        assert link_signature(v) == sig
 
 
 def test_bounds():

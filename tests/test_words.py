@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
-                      InhomogeneousWordError, build_surface, component_count,
-                      conway_skein, cyclic_permute, decompose_murasugi,
-                      degree_and_leading, exponent_profile, far_commute,
-                      is_homogeneous, knot_genus, normalize_nonweak,
-                      parse_word, permutation, reduction_step, seifert_matrix,
-                      shift, split_factors, surface_conway, twist_sequence,
-                      weak_indices, word_from_json, word_to_json)
+                      InhomogeneousWordError, build_surface, class_key,
+                      component_count, conway_skein, cyclic_permute,
+                      decompose_murasugi, degree_and_leading,
+                      exponent_profile, far_commute, is_homogeneous,
+                      knot_genus, normalize_nonweak, parse_word, permutation,
+                      reduction_step, seifert_matrix, shift, split_factors,
+                      surface_conway, twist_sequence, weak_indices,
+                      word_from_json, word_to_json)
 from homolink.words import connected, homogeneous_letters
 
 from conftest import any_words, homogeneous_connected
@@ -128,6 +129,7 @@ REFUSING_ENGINES = [
     ("decompose_murasugi", _surface_engine(decompose_murasugi), True, True),
     ("seifert_matrix", _surface_engine(seifert_matrix), True, False),
     ("twist_sequence", twist_sequence, True, True),
+    ("class_key", class_key, True, True),
 ]
 
 
