@@ -5,12 +5,12 @@ Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too),
 an output file that cannot be written or a reference-table defect (two
 verified entries with one signature; one `table defect: ...` line), 3
 disconnected word (split factors listed), 4 inhomogeneous input where
-homogeneity is required, 5 work cap exceeded. A word that is both split
-and inhomogeneous is refused as split by every command. Engines and
-commands refuse by raising; `main` alone maps each error type to its exit
-code and stderr lines. Output is deterministic for a fixed configuration;
-JSON reports carry a "schema": 1 version field, all file I/O is UTF-8 and
-every file is written atomically.
+homogeneity is required, 5 work cap exceeded (Conway degree over 6, a bound
+over degree 715). A word that is both split and inhomogeneous is refused
+as split by every command. Engines and commands refuse by raising; `main`
+alone maps each error type to its exit code and stderr lines. Output is
+deterministic for a fixed configuration; JSON reports carry a "schema": 1
+version field, all file I/O is UTF-8 and every file is written atomically.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .monodromy import (char_poly, homology_action, matrix_order,
 from .polynomials import ConwayPolynomial, equal_up_to_unit
 from .reference import table_rows, verify_table, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
-                      conway_from_seifert, knot_genus, seifert_matrix)
+                      conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
 from .words import (BraidWord, component_count, exponent_profile,
                     homogeneous_letters, normalize_nonweak, parse_word,
@@ -96,14 +96,11 @@ def cmd_analyze(args) -> int:
     if homogeneous:
         norm = normalize_nonweak(w)
         report["normalized"] = {"n": norm.strands, "word": list(norm.letters)}
-        if norm.letters:
-            deg, lead = degree_and_leading(norm)
-        else:
-            deg, lead = 0, 1
+        deg, lead = degree_and_leading(w)
         report["degree"] = deg
         report["leading_coefficient"] = lead
         if comps == 1:
-            report["genus"] = knot_genus(norm)
+            report["genus"] = deg // 2
         skein = conway_skein(w)
         surface = conway_from_seifert(seifert_matrix(build_surface(w)))
         report["conway_skein"] = skein.to_json()
@@ -263,10 +260,11 @@ def cmd_verify_table(args) -> int:
 def cmd_bounds(args) -> int:
     if args.degree is None and args.genus is None:
         return _fail(EXIT_PARSE, "bounds needs --degree and/or --genus")
-    if args.degree is not None:
-        _emit(f"bound_p({args.degree}) = {bound_p(args.degree)}")
-    if args.genus is not None:
-        _emit(f"bound_n({args.genus}) = {bound_n(args.genus)}")
+    # both values before any output, so a refused bound prints nothing
+    lines = [f"{name}({v}) = {bound(v)}" for name, bound, v in (
+        ("bound_p", bound_p, args.degree), ("bound_n", bound_n, args.genus))
+        if v is not None]
+    _emit("\n".join(lines))
     return EXIT_OK
 
 

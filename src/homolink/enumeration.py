@@ -2,10 +2,11 @@
 
 Fixing the Conway degree k forces n <= k + 1 and m = k + n - 1 on a
 non-weak connected homogeneous word, so for each k there are finitely many
-words to look at; same for fixed genus g with n <= 2g + 1, m = 2g + n - 1.
-This module generates them, quotients by the evident symmetries, computes
-an invariant signature per far-commutation class of orbits, and groups
-orbits into link classes matched against the shipped reference table.
+words to look at; a genus-g knot has Conway degree 2g, so genus g is the
+degree-2g space kept to knots. This module generates the words, quotients
+by the evident symmetries, computes one signature per far-commutation
+class of orbits, and groups orbits into link classes matched against the
+shipped reference table.
 
 Both word streams share one column-sequence backtracker. enumerate_words
 dresses every sequence with every sign choice (the raw count the paper's
@@ -51,13 +52,16 @@ from .seifert import build_surface, conway_from_seifert, seifert_matrix
 from .words import (BraidWord, component_count, connected, require_connected,
                     require_homogeneous, sign_map)
 
-# Largest degree or genus a search space may ask for.
+# Largest Conway degree a search space may reach (genus 3 is degree 6).
 SEARCH_CAP = 6
+# Largest k whose bound_p(k) prints within Python's 4,300-digit default for
+# int-to-str conversion (bound_p(715) has 4,297 digits, bound_p(716) 4,304).
+BOUND_CAP = 715
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Degree-k or genus-g search window; exactly one of the two is set."""
+    """Degree-k or genus-g (Conway degree 2g) window; exactly one is set."""
 
     degree: int | None = None
     genus: int | None = None
@@ -73,18 +77,18 @@ class SearchSpace:
         return self.degree if self.degree is not None else self.genus
 
     @property
+    def conway_degree(self):
+        return self.degree if self.degree is not None else 2 * self.genus
+
+    @property
     def knots_only(self):
         return self.genus is not None
 
     def strand_range(self):
-        p = self.parameter
-        top = p + 1 if self.degree is not None else 2 * p + 1
-        return range(2, top + 1)
+        return range(2, self.conway_degree + 2)
 
     def length_for(self, n):
-        p = self.parameter
-        k = p if self.degree is not None else 2 * p
-        return k + n - 1
+        return self.conway_degree + n - 1
 
 
 def _column_sequences(n: int, m: int):
@@ -112,9 +116,15 @@ def _column_sequences(n: int, m: int):
     yield from fill([], [0] * n)
 
 
-def _signsets(n: int):
-    return [[1 if s >> i & 1 else -1 for i in range(n - 1)]
-            for s in range(1 << (n - 1))]
+def _dressed(n: int, sequences, fix_first: bool):
+    """Each column sequence with every sign choice, one sign per column;
+    fix_first keeps only the choices that make the first letter positive."""
+    signsets = [[1 if s >> i & 1 else -1 for i in range(n - 1)]
+                for s in range(1 << (n - 1))]
+    for seq in sequences:
+        for signs in signsets:
+            if not fix_first or signs[seq[0] - 1] > 0:
+                yield BraidWord(n, tuple(c * signs[c - 1] for c in seq))
 
 
 def words_with_counts(n: int, m: int):
@@ -122,17 +132,20 @@ def words_with_counts(n: int, m: int):
 
     Dresses each column sequence with all 2^(n-1) sign choices.
     """
-    signsets = _signsets(n)
-    for seq in _column_sequences(n, m):
-        for signs in signsets:
-            yield BraidWord(n, tuple(c * signs[c - 1] for c in seq))
+    return _dressed(n, _column_sequences(n, m), fix_first=False)
+
+
+def _images(letters: tuple, n: int) -> tuple:
+    """letters under identity, reversal, flip (column c to n - c, each
+    letter keeping its sign) and flip-reversal."""
+    flip = tuple(n - x if x > 0 else -n - x for x in letters)
+    return letters, letters[::-1], flip, flip[::-1]
 
 
 def _least_in_orbit(seq: tuple, n: int) -> bool:
     """Is seq lex-least among its rotations, its reversal and its flip?"""
     m = len(seq)
-    flip = tuple(n - c for c in seq)
-    for t in (seq, seq[::-1], flip, flip[::-1]):
+    for t in _images(seq, n):
         tt = t + t
         for k in range(m):
             if tt[k:k + m] < seq:
@@ -149,22 +162,18 @@ def candidates_with_counts(n: int, m: int):
     lex-least among those images and whose first letter is positive, and
     only those words are generated.
     """
-    signsets = _signsets(n)
-    for seq in _column_sequences(n, m):
-        if _least_in_orbit(seq, n):
-            for signs in signsets:
-                if signs[seq[0] - 1] > 0:
-                    yield BraidWord(n, tuple(c * signs[c - 1] for c in seq))
+    return _dressed(n, (seq for seq in _column_sequences(n, m)
+                        if _least_in_orbit(seq, n)), fix_first=True)
 
 
 def _space_stream(space: SearchSpace, per_length):
     """per_length(n, m) over the space's (n, m); refuses a space over cap."""
-    if space.parameter > SEARCH_CAP:
-        raise CapExceededError(
-            f"search parameter {space.parameter} exceeds cap {SEARCH_CAP}")
+    k = space.conway_degree
+    if k > SEARCH_CAP:
+        raise CapExceededError(f"Conway degree {k} exceeds cap {SEARCH_CAP}")
 
     def gen():
-        if space.parameter == 0:
+        if k == 0:
             yield BraidWord(1, ())
             return
         for n in space.strand_range():
@@ -185,27 +194,12 @@ def orbit_candidates(space: SearchSpace):
 
 # --- symmetry reduction ----------------------------------------------------
 
-def _transformed(letters, n, g):
-    out = letters
-    if g & 1:
-        out = tuple(-x for x in out)
-    if g & 2:
-        out = out[::-1]
-    if g & 4:
-        out = tuple((1 if x > 0 else -1) * (n - abs(x)) for x in out)
-    return out
-
 def orbit_canonical(w: BraidWord) -> tuple:
     """Lex-min letters over mirror, reversal, column flip and rotation."""
     m = len(w.letters)
-    best = None
-    for g in range(8):
-        t = _transformed(w.letters, w.strands, g)
-        for k in range(max(m, 1)):
-            r = t[k:] + t[:k]
-            if best is None or r < best:
-                best = r
-    return best
+    mirror = tuple(-x for x in w.letters)
+    return min(t[k:] + t[:k] for s in (w.letters, mirror)
+               for t in _images(s, w.strands) for k in range(max(m, 1)))
 
 
 def symmetry_reduce(words) -> list:
@@ -355,7 +349,7 @@ def classify(space: SearchSpace) -> ClassificationReport:
             sig_of[key] = link_signature(w)
         sigs.append(sig_of[key])
 
-    expected = 2 * space.parameter if space.knots_only else space.parameter
+    expected = space.conway_degree
     for w, sig in zip(reps, sigs):
         if sig.conway_degree != expected:
             raise RuntimeError(f"degree cross-check failed on {w}: "
@@ -408,6 +402,8 @@ def bound_p(k: int) -> int:
     """Crude count of degree-k candidate words, Sum 2^n n^(k+n), n <= k."""
     if k < 0:
         raise ValueError(f"degree must be non-negative, got {k}")
+    if k > BOUND_CAP:
+        raise CapExceededError(f"bound_p({k}) exceeds cap {BOUND_CAP}")
     if k == 0:
         return 1
     return sum(2 ** n * n ** (k + n) for n in range(1, k + 1))

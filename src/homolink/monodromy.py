@@ -25,6 +25,7 @@ from .words import (BraidWord, letter_counts, require_connected,
                     require_homogeneous, sign_map)
 
 _EPS = 1  # transvection sign for a positive twist, calibrated
+ORDER_CAP = 512  # matrix_order gives up past this power
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,11 @@ def char_poly(action: HomologyAction) -> LaurentPolynomial:
         pencil_det(((1, identity(len(M))), (0, negM))), scale=1)
 
 
-def matrix_order(action: HomologyAction, cap: int = 512):
-    """Smallest positive power equal to the identity, or None within cap."""
+def matrix_order(action: HomologyAction):
+    """Least positive power equal to the identity, or None to ORDER_CAP."""
     ident = identity(action.dimension)
     P = ident
-    for order in range(1, cap + 1):
+    for order in range(1, ORDER_CAP + 1):
         P = matmul(P, action.matrix)
         if P == ident:
             return order

@@ -168,14 +168,14 @@ def reduction_step(w: BraidWord) -> SkeinStep:
 def degree_and_leading(w: BraidWord) -> tuple:
     """(m - n + 1, sign) read off the word with no recursion.
 
+    The unknot gives (0, +1), and a word and its non-weak form agree.
+
     The sign is the product of all defined alpha(i) times the product of
     the signs of the letters themselves. The source formula indexes the
     first product up to n, one past where alpha is defined; we take it over
     i in [1, n-1].
     """
     require_homogeneous(w, "degree_and_leading")
-    if not w.letters:
-        raise ValueError("degree_and_leading needs a non-empty word")
     require_connected(w, "degree_and_leading")
     lead = 1
     for s in sign_map(w.letters).values():

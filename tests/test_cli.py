@@ -13,6 +13,7 @@ from homolink.cli import (
     EXIT_PARSE,
     main,
 )
+from homolink.enumeration import bound_p
 from homolink.reference import entry_to_json, find_entry
 
 
@@ -183,9 +184,13 @@ def test_enumerate_genus_one_text(capsys):
 
 
 def test_enumerate_cap(capsys):
-    code, _, err = run(capsys, "enumerate", "--degree", "9")
-    assert code == EXIT_CAP
-    assert "cap exceeded" in err
+    # genus g is Conway degree 2g, and the cap reads the Conway degree
+    for flag, value, degree in (("--degree", 9, 9), ("--genus", 4, 8),
+                                ("--genus", 6, 12)):
+        code, out, err = run(capsys, "enumerate", flag, str(value))
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == f"cap exceeded: Conway degree {degree} exceeds cap 6\n"
 
 
 @pytest.mark.parametrize("mode, digest", [
@@ -392,3 +397,17 @@ def test_bounds(capsys):
     assert "bound_n(1) = 66" in out
     code, _, err = run(capsys, "bounds")
     assert code == EXIT_PARSE
+    code, out, _ = run(capsys, "bounds", "--degree", "715", "--genus", "357")
+    assert code == EXIT_OK
+    p, n = out.splitlines()
+    assert p.startswith("bound_p(715) = ") and len(p) == 15 + 4297
+    assert n == f"bound_n(357) = {bound_p(714)}"
+
+
+@pytest.mark.parametrize("argv", [("--degree", "716"), ("--genus", "358"),
+                                  ("--degree", "2", "--genus", "358")])
+def test_bounds_past_degree_715_are_one_line_and_exit_5(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == "cap exceeded: bound_p(716) exceeds cap 715\n"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import homogeneous_connected
 from homolink.enumeration import (
+    BOUND_CAP,
     CSV_COLUMNS,
     ClassificationReport,
     LinkSignature,
@@ -45,7 +46,7 @@ def test_search_space_validation():
     assert list(s.strand_range()) == [2, 3, 4]
     assert s.length_for(3) == 5
     g = SearchSpace(genus=2)
-    assert g.parameter == 2 and g.knots_only
+    assert g.parameter == 2 and g.knots_only and g.conway_degree == 4
     assert list(g.strand_range()) == [2, 3, 4, 5]
     assert g.length_for(2) == 5
 
@@ -82,6 +83,20 @@ def test_classify_refuses_over_cap_before_generating(monkeypatch):
     monkeypatch.setattr(enumeration, "_column_sequences", forbidden)
     with pytest.raises(CapExceededError):
         classify(SearchSpace(degree=7))
+    for genus in (4, 6):        # the cap reads the Conway degree, 2g
+        with pytest.raises(CapExceededError,
+                           match=f"Conway degree {2 * genus} exceeds"):
+            classify(SearchSpace(genus=genus))
+
+
+@pytest.mark.parametrize("genus", range(3))
+def test_genus_space_is_the_degree_space_kept_to_knots(genus):
+    degree = SearchSpace(degree=2 * genus)
+    assert (list(orbit_candidates(SearchSpace(genus=genus)))
+            == list(orbit_candidates(degree)))
+    knots = tuple(c for c in classify(degree).classes
+                  if c.signature.component_count == 1)
+    assert classify(SearchSpace(genus=genus)).classes == knots
 
 
 @pytest.mark.parametrize("space", SMALL_SPACES,
@@ -126,6 +141,36 @@ def test_orbit_canonical_identifies_symmetries():
     for v in (mirror, reverse, flip, rot):
         assert orbit_canonical(v) == canon
     assert len(symmetry_reduce([w, mirror, reverse, flip, rot])) == 1
+
+
+def _orbit_closure(w):
+    """Oracle: every word reached from w by rotation by one, reversal,
+    column flip and mirror."""
+    n = w.strands
+    seen, todo = {w.letters}, [w.letters]
+    while todo:
+        t = todo.pop()
+        for u in (t[1:] + t[:1], t[::-1], tuple(-x for x in t),
+                  tuple((n - abs(x)) * (1 if x > 0 else -1) for x in t)):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return n, frozenset(seen)
+
+
+def test_symmetry_reduce_partition_is_the_orbit_closure():
+    for k in range(4):
+        words = list(enumerate_words(SearchSpace(degree=k)))
+        by_closure, by_canon = {}, {}
+        for w in words:
+            by_closure.setdefault(_orbit_closure(w), set()).add(w)
+            by_canon.setdefault((w.strands, orbit_canonical(w)),
+                                set()).add(w)
+        assert (set(map(frozenset, by_closure.values()))
+                == set(map(frozenset, by_canon.values())))
+        reps = symmetry_reduce(words)
+        assert len({_orbit_closure(w) for w in reps}) == len(reps)
+        assert len(reps) == len(by_closure)
 
 
 def _far_swap_classes(reps):
@@ -223,12 +268,20 @@ def test_bounds():
     assert bound_p(3) == 5962
     assert bound_n(0) == 1
     assert bound_n(1) == 66
+    assert len(str(bound_p(BOUND_CAP))) == 4297
 
 
 def test_genus_bound_is_degree_bound_at_twice_the_genus():
     # a genus-g knot has Conway degree 2g
     for g in range(4):
         assert bound_n(g) == bound_p(2 * g)
+
+
+def test_bounds_refuse_past_the_printable_range():
+    with pytest.raises(CapExceededError, match=r"bound_p\(716\) exceeds"):
+        bound_p(BOUND_CAP + 1)
+    with pytest.raises(CapExceededError, match=r"bound_p\(716\) exceeds"):
+        bound_n(358)
 
 
 def test_bounds_refuse_negative_arguments():

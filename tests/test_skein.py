@@ -13,11 +13,13 @@ from homolink.skein import (
     degree_and_leading,
     reduction_step,
 )
+from homolink.seifert import knot_genus
 from homolink.words import (
     BraidWord,
     component_count,
     cyclic_permute,
     is_homogeneous,
+    normalize_nonweak,
     parse_word,
     weak_indices,
 )
@@ -62,8 +64,7 @@ def test_degree_and_leading_examples():
     assert degree_and_leading(parse_word("1 -2 1 -2")) == (2, -1)
     assert degree_and_leading(parse_word("1 1")) == (1, 1)
     assert degree_and_leading(parse_word("-1 -1")) == (1, -1)
-    with pytest.raises(ValueError):
-        degree_and_leading(parse_word(""))
+    assert degree_and_leading(parse_word("")) == (0, 1)     # the unknot
 
 
 def test_degree_and_leading_matches_polynomial():
@@ -134,6 +135,17 @@ def test_degree_formula(w):
     assert p.degree == len(w.letters) - w.strands + 1
     d, lead = degree_and_leading(w)
     assert (p.degree, p.leading_coefficient) == (d, lead)
+
+
+@given(homogeneous_connected(max_n=5, max_m=9))
+@settings(max_examples=120, deadline=None)
+def test_degree_and_leading_ignore_weak_letters(w):
+    # analyze reads degree, sign and genus off the word it was given
+    d, lead = degree_and_leading(w)
+    norm = normalize_nonweak(w)
+    assert degree_and_leading(norm) == (d, lead)
+    if component_count(w) == 1:
+        assert knot_genus(norm) == d // 2
 
 
 @given(any_words(max_n=4, max_m=6))
