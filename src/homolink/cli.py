@@ -35,9 +35,10 @@ from .reference import table_rows, verify_table, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
-from .words import (BraidWord, component_count, exponent_profile,
-                    homogeneous_letters, normalize_nonweak, parse_word,
-                    require_connected, require_homogeneous, weak_indices)
+from .words import (component_count, exponent_profile, homogeneous_letters,
+                    normalize_nonweak, parse_word, require_connected,
+                    require_homogeneous, weak_indices, word_text,
+                    word_to_json)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,10 +54,6 @@ def _emit(text=""):
 def _fail(code, message):
     sys.stderr.write(message + "\n")
     return code
-
-
-def _word_str(w: BraidWord) -> str:
-    return " ".join(str(x) for x in w.letters)
 
 
 def _write(writer, data, path) -> int:
@@ -79,7 +76,7 @@ def cmd_analyze(args) -> int:
     comps = component_count(w)
     report = {
         "schema": 1,
-        "word": {"n": w.strands, "word": list(w.letters)},
+        "word": word_to_json(w),
         "length": len(w.letters),
         "homogeneous": homogeneous,
         "weak_indices": sorted(weak_indices(w)),
@@ -95,7 +92,7 @@ def cmd_analyze(args) -> int:
     skein = surface = norm = None
     if homogeneous:
         norm = normalize_nonweak(w)
-        report["normalized"] = {"n": norm.strands, "word": list(norm.letters)}
+        report["normalized"] = word_to_json(norm)
         deg, lead = degree_and_leading(w)
         report["degree"] = deg
         report["leading_coefficient"] = lead
@@ -116,7 +113,7 @@ def cmd_analyze(args) -> int:
         _emit(json.dumps(report, sort_keys=True))
         return EXIT_OK
 
-    _emit(f"word: [{_word_str(w)}] on {w.strands} strands, length "
+    _emit(f"word: [{word_text(w)}] on {w.strands} strands, length "
           f"{len(w.letters)}")
     _emit(f"homogeneous: {homogeneous}")
     _emit(f"occurrences q: {list(profile.q)}")
@@ -125,7 +122,7 @@ def cmd_analyze(args) -> int:
     _emit(f"components: {comps}")
     _emit(f"surface euler characteristic: {report['euler_characteristic']}")
     if homogeneous:
-        _emit(f"normalized (non-weak) word: [{_word_str(norm)}] on "
+        _emit(f"normalized (non-weak) word: [{word_text(norm)}] on "
               f"{norm.strands} strands")
         _emit(f"conway degree: {report['degree']}, leading coefficient "
               f"{report['leading_coefficient']:+d}")
@@ -168,7 +165,7 @@ def cmd_enumerate(args) -> int:
         _emit(f"{mode}: {len(report.classes)} classes")
         for ix, c in enumerate(report.classes):
             conway = ConwayPolynomial(c.signature.conway)
-            _emit(f"  [{ix}] rep [{_word_str(c.representative)}] on "
+            _emit(f"  [{ix}] rep [{word_text(c.representative)}] on "
                   f"{c.representative.strands} strands | components "
                   f"{c.signature.component_count} | conway {conway} | "
                   f"{c.matched} | orbits {c.size}")
@@ -192,7 +189,7 @@ def cmd_monodromy(args) -> int:
 
     report = {
         "schema": 1,
-        "word": {"n": norm.strands, "word": list(norm.letters)},
+        "word": word_to_json(norm),
         "twists": [{"loop": [i, j], "sign": s} for (i, j), s in seq.twists],
         "homology_matrix": [list(row) for row in act.matrix],
         "char_poly": cp.to_json(),
@@ -212,7 +209,7 @@ def cmd_monodromy(args) -> int:
         return EXIT_OK
 
     if norm.letters != w.letters or norm.strands != w.strands:
-        _emit(f"normalized to [{_word_str(norm)}] on {norm.strands} strands")
+        _emit(f"normalized to [{word_text(norm)}] on {norm.strands} strands")
     _emit(f"twists ({len(seq.twists)}):")
     for (i, j), s in seq.twists:
         _emit(f"  loop ({i},{j}) sign {s:+d}")
@@ -334,7 +331,7 @@ def main(argv=None) -> int:
     except DisconnectedWordError as exc:
         return _fail(EXIT_DISCONNECTED, "\n".join(
             ["disconnected word; split closure with factors:"]
-            + [f"  [{_word_str(f)}] on {f.strands} strands"
+            + [f"  [{word_text(f)}] on {f.strands} strands"
                for f in exc.factors]))
     except InhomogeneousWordError as exc:
         return _fail(EXIT_INHOMOGENEOUS, str(exc))

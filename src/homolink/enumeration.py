@@ -50,7 +50,7 @@ from .jones import jones_polynomial
 from .polynomials import eshift
 from .seifert import build_surface, conway_from_seifert, seifert_matrix
 from .words import (BraidWord, component_count, connected, require_connected,
-                    require_homogeneous, sign_map)
+                    require_homogeneous, sign_map, word_text, word_to_json)
 
 # Largest Conway degree a search space may reach (genus 3 is degree 6).
 SEARCH_CAP = 6
@@ -332,34 +332,32 @@ class ClassificationReport:
 def classify(space: SearchSpace) -> ClassificationReport:
     """Orbit representatives grouped by signature, matched by name.
 
-    Each far-commutation class gets one signature, computed on its first
-    orbit in sorted order and shared by all of its orbits. Matching uses
-    only verified reference entries; unverified entries are skipped with
-    a note. Two verified entries sharing a signature are a table defect
-    and abort the run.
+    One pass over the orbits, which symmetry_reduce sorts by (strands,
+    letters). Each far-commutation class gets one signature, computed and
+    checked against the space's Conway degree on its first orbit and
+    shared by all of its orbits. A group's first orbit is its
+    representative, so groups come out in representative order. Matching
+    uses only verified reference entries; unverified entries are skipped
+    with a note. Two verified entries sharing a signature are a table
+    defect and abort the run.
     """
     from .reference import entry_signature, load_reference_table
 
-    reps = symmetry_reduce(orbit_candidates(space))
-    sig_of = {}
-    sigs = []
-    for w in reps:
-        key = class_key(w)
-        if key not in sig_of:
-            sig_of[key] = link_signature(w)
-        sigs.append(sig_of[key])
-
     expected = space.conway_degree
-    for w, sig in zip(reps, sigs):
-        if sig.conway_degree != expected:
-            raise RuntimeError(f"degree cross-check failed on {w}: "
-                               f"{sig.conway_degree} != {expected}")
-
-    groups = {}
-    for w, sig in zip(reps, sigs):
+    sig_of = {}
+    groups = {}    # signature -> [first orbit, orbit count]
+    for w in symmetry_reduce(orbit_candidates(space)):
+        key = class_key(w)
+        sig = sig_of.get(key)
+        if sig is None:
+            sig = sig_of[key] = link_signature(w)
+            if sig.conway_degree != expected:
+                raise RuntimeError(f"degree cross-check failed on {w}: "
+                                   f"{sig.conway_degree} != {expected}")
         if space.knots_only and sig.component_count != 1:
             continue
-        groups.setdefault(sig, []).append(w)
+        group = groups.setdefault(sig, [w, 0])
+        group[1] += 1
 
     notes = []
     by_sig = {}
@@ -376,13 +374,8 @@ def classify(space: SearchSpace) -> ClassificationReport:
                 "signature; fix the table before classifying")
         by_sig[sig] = entry.name
 
-    classes = []
-    for sig, members in groups.items():
-        rep = min(members, key=lambda w: (w.strands, w.letters))
-        classes.append(LinkClass(sig, rep, by_sig.get(sig, "unidentified"),
-                                 len(members)))
-    classes.sort(key=lambda c: (c.representative.strands,
-                                c.representative.letters))
+    classes = tuple(LinkClass(sig, rep, by_sig.get(sig, "unidentified"), size)
+                    for sig, (rep, size) in groups.items())
 
     if space.degree == 2:
         notes.append(
@@ -395,7 +388,7 @@ def classify(space: SearchSpace) -> ClassificationReport:
             "4-component chain, so listing both as separate degree-3 links "
             "double-counts one class; the sixth degree-3 class is the "
             "Whitehead link (representative 1 1 -2 1 -2 up to symmetry)")
-    return ClassificationReport(space, tuple(classes), tuple(notes))
+    return ClassificationReport(space, classes, tuple(notes))
 
 
 def bound_p(k: int) -> int:
@@ -448,8 +441,7 @@ def report_to_json(report: ClassificationReport) -> dict:
                   "cap": SEARCH_CAP},
         "classes": [
             {
-                "representative": {"n": c.representative.strands,
-                                   "word": list(c.representative.letters)},
+                "representative": word_to_json(c.representative),
                 "components": c.signature.component_count,
                 "conway": {str(e): v for e, v in c.signature.conway},
                 "jones_pair": [[e, v] for e, v in c.signature.jones_pair],
@@ -465,10 +457,9 @@ def report_to_json(report: ClassificationReport) -> dict:
 def report_to_csv(report: ClassificationReport) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for ix, c in enumerate(report.classes):
-        word = " ".join(str(x) for x in c.representative.letters)
         conway = " ".join(f"{v}z^{e}" for e, v in c.signature.conway) or "0"
         lines.append(",".join(str(v) for v in (
-            ix, c.representative.strands, word,
+            ix, c.representative.strands, word_text(c.representative),
             c.signature.component_count,
             c.signature.conway_degree if c.signature.conway else 0,
             conway, c.matched, c.size)))

@@ -51,11 +51,11 @@ class _UnionFind:
         self.parent[self.find(a)] = self.find(b)
 
 
-def jones_kauffman(w: BraidWord, cap: int = JONES_LENGTH_CAP) -> LaurentPolynomial:
+def jones_kauffman(w: BraidWord) -> LaurentPolynomial:
     word, n, m = w.letters, w.strands, len(w.letters)
-    if m > cap:
-        raise CapExceededError(
-            f"word length {m} exceeds the Kauffman cap {cap} (2^m states)")
+    if m > JONES_LENGTH_CAP:
+        raise CapExceededError(f"word length {m} exceeds the Kauffman cap "
+                               f"{JONES_LENGTH_CAP} (2^m states)")
 
     def nid(level, strand):
         return level * n + strand

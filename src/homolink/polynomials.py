@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 ONE = {0: 1}
 
@@ -148,6 +148,11 @@ def identity(k):
     return tuple(tuple(int(r == c) for c in range(k)) for r in range(k))
 
 
+def _zx_power(d):
+    """(x - 1/x)^d as a Laurent dict in x, by the binomial theorem."""
+    return {d - 2 * k: (-1) ** k * comb(d, k) for k in range(d + 1)}
+
+
 def z_extract(balanced):
     """Rewrite a balanced Laurent dict in x as a polynomial in z = x - 1/x.
 
@@ -156,7 +161,6 @@ def z_extract(balanced):
     for our callers signals a sign-convention bug rather than bad data.
     """
     rem = dict(balanced)
-    zx = {1: 1, -1: -1}
     out = {}
     while rem:
         d = max(rem)
@@ -164,22 +168,15 @@ def z_extract(balanced):
             raise ArithmeticError("leftover terms of negative degree")
         c = rem[d]
         out[d] = c
-        pw = dict(ONE)
-        for _ in range(d):
-            pw = mul(pw, zx)
-        rem = sub(rem, smul(pw, c))
+        rem = sub(rem, smul(_zx_power(d), c))
     return out
 
 
 def z_substitute(conway_coeffs):
     """Expand a z-polynomial dict under z = x - 1/x (x-exponent Laurent)."""
-    zx = {1: 1, -1: -1}
     out = {}
     for d, c in conway_coeffs.items():
-        pw = dict(ONE)
-        for _ in range(d):
-            pw = mul(pw, zx)
-        out = add(out, smul(pw, c))
+        out = add(out, smul(_zx_power(d), c))
     return out
 
 
@@ -207,84 +204,12 @@ def _sorted_items(coeffs):
     return tuple(sorted((int(e), int(c)) for e, c in coeffs.items() if c))
 
 
-@dataclass(frozen=True)
-class ConwayPolynomial:
-    """Integer polynomial in z, coefficients sorted by ascending degree.
-
-    The zero polynomial has an empty coefficient tuple and degree None.
-    """
-
-    coeffs: tuple = ()
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(_sorted_items(d))
+class _Polynomial:
+    """Printing and serialization shared by the two value classes: c at
+    exponent e stands for c * var^(e/scale)."""
 
     def as_dict(self):
         return dict(self.coeffs)
-
-    @property
-    def degree(self):
-        return self.coeffs[-1][0] if self.coeffs else None
-
-    @property
-    def leading_coefficient(self):
-        return self.coeffs[-1][1] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in reversed(self.coeffs):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "z" if e == 1 else f"z^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        head = head[2:] if head.startswith("+ ") else "-" + head[2:]
-        return " ".join([head] + parts[1:])
-
-    def to_json(self):
-        return {"var": "z", "scale": 1,
-                "coeffs": {str(e): c for e, c in self.coeffs}}
-
-
-@dataclass(frozen=True)
-class LaurentPolynomial:
-    """Integer Laurent polynomial in t with scaled exponents.
-
-    An entry (e, c) means c * t^(e/scale); scale is 2 for Alexander-type
-    values (half powers) and 4 for Jones (quarter powers).
-    """
-
-    scale: int = 2
-    coeffs: tuple = ()
-
-    @classmethod
-    def from_dict(cls, d, scale=2):
-        return cls(scale, _sorted_items(d))
-
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def mirror(self):
-        """t -> 1/t."""
-        return LaurentPolynomial(self.scale,
-                                 _sorted_items({-e: c for e, c in self.coeffs}))
-
-    def rescaled(self, scale):
-        if scale == self.scale:
-            return self
-        if scale % self.scale:
-            raise ValueError(f"cannot rescale {self.scale} -> {scale}")
-        f = scale // self.scale
-        return LaurentPolynomial(scale, tuple((e * f, c) for e, c in self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -299,7 +224,8 @@ class LaurentPolynomial:
             if ex == 0:
                 body = str(mag)
             else:
-                var = "t" if ex == 1 else f"t^({ex})" if ex.denominator > 1 else f"t^{ex}"
+                var = (self.var if ex == 1 else f"{self.var}^({ex})"
+                       if ex.denominator > 1 else f"{self.var}^{ex}")
                 body = var if mag == 1 else f"{mag}*{var}"
             parts.append(("- " if c < 0 else "+ ") + body)
         head = parts[0]
@@ -307,8 +233,62 @@ class LaurentPolynomial:
         return " ".join([head] + parts[1:])
 
     def to_json(self):
-        return {"var": "t", "scale": self.scale,
+        return {"var": self.var, "scale": self.scale,
                 "coeffs": {str(e): c for e, c in self.coeffs}}
+
+
+@dataclass(frozen=True)
+class ConwayPolynomial(_Polynomial):
+    """Integer polynomial in z, coefficients sorted by ascending degree.
+
+    The zero polynomial has an empty coefficient tuple and degree None.
+    """
+
+    coeffs: tuple = ()
+    var = "z"
+    scale = 1
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(_sorted_items(d))
+
+    @property
+    def degree(self):
+        return self.coeffs[-1][0] if self.coeffs else None
+
+    @property
+    def leading_coefficient(self):
+        return self.coeffs[-1][1] if self.coeffs else 0
+
+
+@dataclass(frozen=True)
+class LaurentPolynomial(_Polynomial):
+    """Integer Laurent polynomial in t with scaled exponents.
+
+    An entry (e, c) means c * t^(e/scale); scale is 2 for Alexander-type
+    values (half powers) and 4 for Jones (quarter powers).
+    """
+
+    scale: int = 2
+    coeffs: tuple = ()
+    var = "t"
+
+    @classmethod
+    def from_dict(cls, d, scale=2):
+        return cls(scale, _sorted_items(d))
+
+    def mirror(self):
+        """t -> 1/t."""
+        return LaurentPolynomial(self.scale,
+                                 _sorted_items({-e: c for e, c in self.coeffs}))
+
+    def rescaled(self, scale):
+        if scale == self.scale:
+            return self
+        if scale % self.scale:
+            raise ValueError(f"cannot rescale {self.scale} -> {scale}")
+        f = scale // self.scale
+        return LaurentPolynomial(scale, tuple((e * f, c) for e, c in self.coeffs))
 
 
 def polynomial_from_json(obj):

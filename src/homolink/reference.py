@@ -22,7 +22,7 @@ from .burau import alexander_via_burau
 from .enumeration import LinkSignature, link_signature
 from .polynomials import LaurentPolynomial, polynomial_from_json
 from .seifert import alexander_from_seifert, build_surface, seifert_matrix
-from .words import BraidWord, connected
+from .words import BraidWord, connected, word_from_json, word_to_json
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ReferenceEntry:
 
 
 def parse_entry(obj: dict) -> ReferenceEntry:
-    word = BraidWord(int(obj["n"]), tuple(int(x) for x in obj["word"]))
+    word = word_from_json(obj)
     pub = polynomial_from_json(obj["published_alexander"])
     if not isinstance(pub, LaurentPolynomial):
         raise ValueError("published_alexander must be a t-polynomial")
@@ -46,8 +46,7 @@ def parse_entry(obj: dict) -> ReferenceEntry:
 def entry_to_json(entry: ReferenceEntry) -> dict:
     out = {
         "name": entry.name,
-        "n": entry.word.strands,
-        "word": list(entry.word.letters),
+        **word_to_json(entry.word),
         "verified": entry.verified,
         "published_alexander": entry.published_alexander.to_json(),
     }
@@ -106,7 +105,7 @@ def write_table(entries, path):
                        for entry in entries), path)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def entry_signature(entry: ReferenceEntry) -> LinkSignature:
     return link_signature(entry.word)
 

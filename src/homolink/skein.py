@@ -141,13 +141,12 @@ def _conway(word, n):
 def conway_skein(w: BraidWord) -> ConwayPolynomial:
     """Conway polynomial of the closure of a homogeneous word.
 
-    The word must be homogeneous and either connected (every generator
-    occurs) or empty; a split non-empty word is rejected with its factors
-    attached rather than silently returning 0.
+    The word must be homogeneous and connected (every generator occurs, so
+    the empty word only on one strand); a split word is rejected with its
+    factors attached rather than silently returning 0.
     """
     require_homogeneous(w, "conway_skein")
-    if w.letters:
-        require_connected(w, "conway_skein")
+    require_connected(w, "conway_skein")
     if len(_memo) > _MEMO_LIMIT:
         _memo.clear()
     return ConwayPolynomial.from_dict(_conway(w.letters, w.strands))

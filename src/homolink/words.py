@@ -47,23 +47,8 @@ class BraidWord:
         n = max((abs(x) for x in letters), default=0) + 1
         return cls(n, letters)
 
-    @property
-    def n(self):
-        return self.strands
-
-    @property
-    def m(self):
-        return len(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
     def __str__(self):
-        body = " ".join(str(x) for x in self.letters) or "(empty)"
-        return f"{body} on {self.strands} strands"
+        return f"{word_text(self) or '(empty)'} on {self.strands} strands"
 
 
 @dataclass(frozen=True)
@@ -239,7 +224,7 @@ def permutation(w: BraidWord) -> Permutation:
 
 
 def component_count(w: BraidWord) -> int:
-    return cycle_count(w.letters, w.strands)
+    return permutation(w).cycle_count
 
 
 def cyclic_permute(w: BraidWord, k: int) -> BraidWord:
@@ -259,6 +244,11 @@ def far_commute(w: BraidWord, j: int) -> BraidWord:
         raise ValueError(f"letters {a} and {b} do not commute")
     letters = w.letters[:j - 1] + (b, a) + w.letters[j + 1:]
     return BraidWord(w.strands, letters)
+
+
+def word_text(w: BraidWord) -> str:
+    """The letters as whitespace-separated text, the form parse_word reads."""
+    return " ".join(str(x) for x in w.letters)
 
 
 def word_to_json(w: BraidWord) -> dict:
@@ -298,23 +288,6 @@ def shift_letters(letters, i):
     low = [x for x in letters if abs(x) < i]
     high = [x - 1 if x > 0 else x + 1 for x in letters if abs(x) > i]
     return tuple(low + high)
-
-
-def cycle_count(letters, n) -> int:
-    p = list(range(n))
-    for x in letters:
-        i = abs(x) - 1
-        p[i], p[i + 1] = p[i + 1], p[i]
-    seen = [False] * n
-    count = 0
-    for s in range(n):
-        if not seen[s]:
-            count += 1
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-    return count
 
 
 def min_rotation(letters):

@@ -371,6 +371,20 @@ def test_package_has_no_assert_statements():
         assert not found, f"{path.name} has assert on lines {found}"
 
 
+def test_word_formats_written_only_in_words():
+    # one owner per value format: the word dict {"n": ..., "word": ...}
+    # and the word text are built only by words.word_to_json / word_text
+    from pathlib import Path
+
+    import homolink
+    for path in sorted(Path(homolink.__file__).parent.glob("*.py")):
+        if path.name == "words.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for pattern in ('"n": ', '" ".join(str('):
+            assert pattern not in text, f"{path.name} writes {pattern!r}"
+
+
 def test_refusals_raised_in_words_and_caught_in_cli_main():
     # one precondition layer and one handler: only words.py raises the
     # word-shape errors, and cli.py catches package errors only in main

@@ -22,8 +22,8 @@ from homolink.words import (
 )
 
 
-def jones(text, **kw):
-    return jones_kauffman(parse_word(text), **kw).as_dict()
+def jones(text):
+    return jones_kauffman(parse_word(text)).as_dict()
 
 
 def test_anchor_values():
@@ -72,13 +72,14 @@ def test_far_commute_invariance():
     assert jones_kauffman(far_commute(w, 1)) == jones_kauffman(w)
 
 
-def test_cap():
-    long_word = BraidWord(2, (1,) * (JONES_LENGTH_CAP + 1))
+def test_cap(monkeypatch):
     with pytest.raises(CapExceededError):
-        jones_kauffman(long_word)
-    assert jones_kauffman(long_word, cap=JONES_LENGTH_CAP + 1)
-    with pytest.raises(CapExceededError):
-        jones_kauffman(parse_word("1 1 1"), cap=2)
+        jones_kauffman(BraidWord(2, (1,) * (JONES_LENGTH_CAP + 1)))
+    # the cap is read at call time: the boundary at a small value
+    monkeypatch.setattr("homolink.jones.JONES_LENGTH_CAP", 2)
+    assert jones_kauffman(parse_word("1 1")).as_dict() == {-2: -1, -10: -1}
+    with pytest.raises(CapExceededError, match="length 3 exceeds .* cap 2"):
+        jones_kauffman(parse_word("1 1 1"))
 
 
 @given(any_words(max_n=4, max_m=8))

@@ -48,7 +48,10 @@ def test_mirror_images():
 
 
 def test_empty_word_on_wide_braid_is_a_split_unlink():
-    assert conway_skein(BraidWord(3, ())).as_dict() == {}
+    # the unlink is split: refused like every other disconnected word
+    with pytest.raises(DisconnectedWordError) as err:
+        conway_skein(BraidWord(3, ()))
+    assert list(err.value.factors) == [BraidWord(1, ())] * 3
 
 
 def test_errors():
