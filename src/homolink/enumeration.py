@@ -31,25 +31,21 @@ to the next one's. A far swap never exchanges two letters of one edge,
 so it keeps every projection; the aligned projections rebuild the heap,
 so distinct classes get distinct keys. The key is the least such reading
 over the starts in column 1 and the symmetries, with the sign vector in
-front.
+front. The component count is constant on a class too, so a genus search
+drops a non-knot orbit before its key and signs only knot classes.
 
-A signature's Conway comes from the Seifert matrix for every connected
-word, homogeneous or not; a split word's Conway is 0. Two closures with
-equal signatures are reported as one class; the signature (component
-count, Conway, mirror-insensitive Jones) is an equality TEST, not a proof
-of sameness, and collisions between reference entries are treated as
-table defects rather than merged silently.
+Signatures and the table they are matched against belong to `reference`;
+two closures with equal signatures are reported as one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, TableDefectError
-from .jones import jones_polynomial
-from .polynomials import eshift
-from .seifert import build_surface, conway_from_seifert, seifert_matrix
-from .words import (BraidWord, component_count, connected, require_connected,
+from .errors import CapExceededError
+from .reference import (LinkSignature, entry_signature, link_signature,
+                        signature_index)
+from .words import (BraidWord, component_count, require_connected,
                     require_homogeneous, sign_map, word_text, word_to_json)
 
 # Largest Conway degree a search space may reach (genus 3 is degree 6).
@@ -257,57 +253,6 @@ def class_key(w: BraidWord) -> tuple:
                             (flip, signs[::-1]), (flip[::-1], signs[::-1])))
 
 
-# --- signatures ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkSignature:
-    """Mirror-insensitive equality key for closures.
-
-    conway and jones_pair hold canonical coefficient tuples. For links the
-    raw values depend on component orientations, which a braid word fixes
-    but the underlying unoriented link does not: reorienting one component
-    scales Jones by t^(3*lk) (a 12-step shift at quarter-power scale) and
-    can flip the sign of Conway. The canonical forms mod out exactly that,
-    plus the mirror pair.
-    """
-
-    component_count: int
-    conway: tuple
-    jones_pair: tuple
-
-    @property
-    def conway_degree(self):
-        return self.conway[-1][0] if self.conway else None
-
-
-def _conway_canonical(d: dict, comps: int) -> tuple:
-    if d and comps != 1 and d[max(d)] < 0:
-        d = {e: -c for e, c in d.items()}
-    return tuple(sorted(d.items()))
-
-
-def _jones_canonical(d: dict, comps: int) -> tuple:
-    def canon(p):
-        if not p:
-            return ()
-        if comps != 1:
-            lo = min(p)
-            p = eshift(p, (lo % 12) - lo)
-        return tuple(sorted(p.items()))
-
-    return min(canon(d), canon({-e: c for e, c in d.items()}))
-
-
-def link_signature(w: BraidWord) -> LinkSignature:
-    comps = component_count(w)
-    conway = (conway_from_seifert(seifert_matrix(build_surface(w))).as_dict()
-              if connected(w.letters, w.strands) else {})
-    jones = jones_polynomial(w).as_dict()
-    return LinkSignature(comps,
-                         _conway_canonical(conway, comps),
-                         _jones_canonical(jones, comps))
-
-
 # --- classification --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -332,21 +277,23 @@ class ClassificationReport:
 def classify(space: SearchSpace) -> ClassificationReport:
     """Orbit representatives grouped by signature, matched by name.
 
-    One pass over the orbits, which symmetry_reduce sorts by (strands,
-    letters). Each far-commutation class gets one signature, computed and
-    checked against the space's Conway degree on its first orbit and
-    shared by all of its orbits. A group's first orbit is its
-    representative, so groups come out in representative order. Matching
-    uses only verified reference entries; unverified entries are skipped
-    with a note. Two verified entries sharing a signature are a table
-    defect and abort the run.
+    The table index (reference.signature_index) is built once the space
+    has passed its cap and before any word is generated, so a defective
+    table is refused before the search runs. Then one pass over the
+    orbits, which symmetry_reduce sorts by (strands, letters); a genus
+    space drops non-knot orbits first. Each far-commutation class gets one
+    signature, computed and checked against the space's Conway degree on
+    its first orbit and shared by all of its orbits. A group's first orbit
+    is its representative, so groups come out in representative order.
     """
-    from .reference import entry_signature, load_reference_table
-
+    words = orbit_candidates(space)
+    by_sig, notes = signature_index()
     expected = space.conway_degree
     sig_of = {}
     groups = {}    # signature -> [first orbit, orbit count]
-    for w in symmetry_reduce(orbit_candidates(space)):
+    for w in symmetry_reduce(words):
+        if space.knots_only and component_count(w) != 1:
+            continue
         key = class_key(w)
         sig = sig_of.get(key)
         if sig is None:
@@ -354,25 +301,8 @@ def classify(space: SearchSpace) -> ClassificationReport:
             if sig.conway_degree != expected:
                 raise RuntimeError(f"degree cross-check failed on {w}: "
                                    f"{sig.conway_degree} != {expected}")
-        if space.knots_only and sig.component_count != 1:
-            continue
         group = groups.setdefault(sig, [w, 0])
         group[1] += 1
-
-    notes = []
-    by_sig = {}
-    for entry in load_reference_table():
-        if not entry.verified:
-            notes.append(f"reference entry {entry.name} is unverified; "
-                         "matching against it is disabled")
-            continue
-        sig = entry_signature(entry)
-        other = by_sig.get(sig)
-        if other is not None:
-            raise TableDefectError(
-                f"reference entries {other} and {entry.name} share a "
-                "signature; fix the table before classifying")
-        by_sig[sig] = entry.name
 
     classes = tuple(LinkClass(sig, rep, by_sig.get(sig, "unidentified"), size)
                     for sig, (rep, size) in groups.items())
@@ -416,8 +346,6 @@ def check_membership(entry, space: SearchSpace) -> bool:
     for genus spaces, a verified fibred knot signature missing from the
     table means no homogeneous word of that genus closes to it.
     """
-    from .reference import entry_signature
-
     if not entry.verified:
         raise ValueError(
             f"reference entry {entry.name} is unverified; verify the table "

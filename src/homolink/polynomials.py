@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 ONE = {0: 1}
 
@@ -295,6 +295,8 @@ def polynomial_from_json(obj):
     coeffs = {int(e): int(c) for e, c in obj["coeffs"].items()}
     if obj["var"] == "z":
         return ConwayPolynomial.from_dict(coeffs)
+    if obj["var"] != "t":
+        raise ValueError(f"unknown polynomial variable {obj['var']!r}")
     return LaurentPolynomial.from_dict(coeffs, scale=int(obj["scale"]))
 
 
@@ -305,7 +307,5 @@ def conway_to_laurent(poly: ConwayPolynomial) -> LaurentPolynomial:
 
 def equal_up_to_unit(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:
     """p == +- t^(k/scale) * q after putting both on a common scale."""
-    s = max(p.scale, q.scale)
-    if s % min(p.scale, q.scale):
-        s = p.scale * q.scale
+    s = lcm(p.scale, q.scale)
     return units_equal(p.rescaled(s).as_dict(), q.rescaled(s).as_dict())

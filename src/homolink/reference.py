@@ -1,12 +1,16 @@
-"""Named reference links with independently published Alexander values.
+"""Named reference links, and link identity: signatures and table matching.
 
 Every entry carries a braid word and the published symmetric Alexander
 polynomial of its closure. Verification recomputes the polynomial from the
 word on two routes (Burau, and the Seifert matrix for every connected
-word, mixed signs included) and demands exact agreement; classification
-refuses to match against entries whose verified flag is down. Entries
-live in reference_table.jsonl next to this module, one JSON object per
-line.
+word, mixed signs included) and demands exact agreement. Entries live in
+reference_table.jsonl next to this module, one JSON object per line.
+
+A closure is named by its signature (component count, Conway,
+mirror-insensitive Jones). The signature is an equality TEST, not a proof
+of sameness: signature_index matches only verified entries, skips
+unverified ones with a note, and refuses a table in which two verified
+entries share a signature rather than merging them silently.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from functools import lru_cache
 from importlib import resources
 
 from .burau import alexander_via_burau
-from .enumeration import LinkSignature, link_signature
-from .polynomials import LaurentPolynomial, polynomial_from_json
-from .seifert import alexander_from_seifert, build_surface, seifert_matrix
-from .words import BraidWord, connected, word_from_json, word_to_json
+from .errors import TableDefectError
+from .jones import jones_polynomial
+from .polynomials import LaurentPolynomial, eshift, polynomial_from_json
+from .seifert import (alexander_from_seifert, build_surface,
+                      conway_from_seifert, seifert_matrix)
+from .words import (BraidWord, component_count, connected, word_from_json,
+                    word_to_json)
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,83 @@ def write_table(entries, path):
                        for entry in entries), path)
 
 
+# --- signatures ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LinkSignature:
+    """Mirror-insensitive equality key for closures.
+
+    conway and jones_pair hold canonical coefficient tuples. For links the
+    raw values depend on component orientations, which a braid word fixes
+    but the underlying unoriented link does not: reorienting one component
+    scales Jones by t^(3*lk) (a 12-step shift at quarter-power scale) and
+    can flip the sign of Conway. The canonical forms mod out exactly that,
+    plus the mirror pair.
+    """
+
+    component_count: int
+    conway: tuple
+    jones_pair: tuple
+
+    @property
+    def conway_degree(self):
+        return self.conway[-1][0] if self.conway else None
+
+
+def _conway_canonical(d: dict, comps: int) -> tuple:
+    if d and comps != 1 and d[max(d)] < 0:
+        d = {e: -c for e, c in d.items()}
+    return tuple(sorted(d.items()))
+
+
+def _jones_canonical(d: dict, comps: int) -> tuple:
+    def canon(p):
+        if not p:
+            return ()
+        if comps != 1:
+            lo = min(p)
+            p = eshift(p, (lo % 12) - lo)
+        return tuple(sorted(p.items()))
+
+    return min(canon(d), canon({-e: c for e, c in d.items()}))
+
+
+def link_signature(w: BraidWord) -> LinkSignature:
+    """The closure's signature; a split word's Conway is 0."""
+    comps = component_count(w)
+    conway = (conway_from_seifert(seifert_matrix(build_surface(w))).as_dict()
+              if connected(w.letters, w.strands) else {})
+    jones = jones_polynomial(w).as_dict()
+    return LinkSignature(comps,
+                         _conway_canonical(conway, comps),
+                         _jones_canonical(jones, comps))
+
+
 @lru_cache
 def entry_signature(entry: ReferenceEntry) -> LinkSignature:
     return link_signature(entry.word)
+
+
+def signature_index():
+    """({signature: name} over the shipped table's verified entries, notes).
+
+    An unverified entry is skipped with a note. Two verified entries
+    sharing a signature are a table defect: TableDefectError.
+    """
+    index, notes = {}, []
+    for entry in load_reference_table():
+        if not entry.verified:
+            notes.append(f"reference entry {entry.name} is unverified; "
+                         "matching against it is disabled")
+            continue
+        sig = entry_signature(entry)
+        other = index.get(sig)
+        if other is not None:
+            raise TableDefectError(
+                f"reference entries {other} and {entry.name} share a "
+                "signature; fix the table before classifying")
+        index[sig] = entry.name
+    return index, notes
 
 
 def verify_entry(entry: ReferenceEntry):
@@ -144,9 +225,8 @@ def verify_table(entries):
     return out, details
 
 
-def find_entry(name: str, entries=None) -> ReferenceEntry:
-    entries = load_reference_table() if entries is None else entries
-    for entry in entries:
+def find_entry(name: str) -> ReferenceEntry:
+    for entry in load_reference_table():
         if entry.name == name:
             return entry
     raise KeyError(f"no reference entry named {name!r}")

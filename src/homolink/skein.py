@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polynomials import ONE, ConwayPolynomial, add, eshift, smul, sub
+from .polynomials import ONE, ConwayPolynomial, add, mul
 from .words import (BraidWord, letter_counts, min_rotation, require_connected,
                     require_homogeneous, shift_letters, sign_map)
 
@@ -63,17 +63,19 @@ _MEMO_LIMIT = 1 << 17
 def _reduce(word, n):
     """Pick the single reduction applied to (word, n).
 
-    Returns (kind, sign, children) with children a tuple of (letters, n)
-    pairs. Pure syntax; the caller decides whether to evaluate or report.
+    Returns (kind, terms): the skein relation as data, nabla(word) being
+    the sum of coef * nabla(child) over terms, each term a (coefficient
+    dict in z, (letters, n)) pair. Pure syntax; the caller decides whether
+    to evaluate or report.
     """
     if n == 1:
-        return "unknot", 0, ()
+        return "unknot", ()
     q = letter_counts(word, n)
     if any(q[i] == 0 for i in range(1, n)):
-        return "split", 0, ()
+        return "split", ()
     for i in range(1, n):
         if q[i] == 1:
-            return "destabilize", 0, ((shift_letters(word, i), n - 1),)
+            return "destabilize", ((ONE, (shift_letters(word, i), n - 1)),)
     # all q_i >= 2: scan consecutive same-index pairs, smallest index first,
     # leftmost pair first, wrap-around pair last
     sgn = sign_map(word)
@@ -94,20 +96,20 @@ def _reduce(word, n):
             if len(low) > 1:
                 continue
             a = sgn[j]
-            sj = j * a
+            sj, az = j * a, {1: a}
             if not low:
                 u = rest + gap
-                return "smooth", a, ((u, n), (u + (sj,), n))
+                return "smooth", ((ONE, (u, n)), (az, (u + (sj,), n)))
             ix = low[0]
             b = 1 if gap[ix] > 0 else -1
             sk = (j - 1) * b
             u = gap[ix + 1:] + rest + gap[:ix]
             if a == b:
-                return "slide", a, ((u + (sk, sj, sk), n),)
-            return "exchange", a, ((u + (sk, sj, sk), n),
-                                   (u + (sk, sj), n),
-                                   (u + (sj, sk), n),
-                                   (u, n))
+                return "slide", ((ONE, (u + (sk, sj, sk), n)),)
+            return "exchange", ((ONE, (u + (sk, sj, sk), n)),
+                                 (az, (u + (sk, sj), n)),
+                                 (az, (u + (sj, sk), n)),
+                                 ({1: -a}, (u, n)))
     raise AssertionError(
         f"no admissible pair in {word} on {n} strands; this cannot happen "
         "for a homogeneous word and indicates a bug")
@@ -118,22 +120,16 @@ def _conway(word, n):
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    kind, a, ch = _reduce(word, n)
+    kind, terms = _reduce(word, n)
     if kind == "unknot":
         val = dict(ONE)
-    elif kind == "split":
-        val = {}
-    elif kind == "destabilize":
-        val = _conway(*ch[0])
-    elif kind == "smooth":
-        u, uz = ch
-        val = add(_conway(*u), smul(eshift(_conway(*uz), 1), a))
-    elif kind == "slide":
-        val = _conway(*ch[0])
+    elif len(terms) == 1:
+        # a unit step (destabilize, slide) shares its child's dict
+        val = _conway(*terms[0][1])
     else:
-        t1, t2, t3, t0 = (_conway(*c) for c in ch)
-        val = add(t1, smul(eshift(add(t2, t3), 1), a))
-        val = sub(val, smul(eshift(t0, 1), a))
+        val = {}
+        for coef, child in terms:
+            val = add(val, mul(coef, _conway(*child)))
     _memo[key] = val
     return val
 
@@ -160,8 +156,8 @@ def reduction_step(w: BraidWord) -> SkeinStep:
     actual termination argument.
     """
     require_homogeneous(w, "reduction_step")
-    kind, _, ch = _reduce(w.letters, w.strands)
-    return SkeinStep(kind, tuple(BraidWord(cn, cw) for cw, cn in ch))
+    kind, terms = _reduce(w.letters, w.strands)
+    return SkeinStep(kind, tuple(BraidWord(cn, cw) for _, (cw, cn) in terms))
 
 
 def degree_and_leading(w: BraidWord) -> tuple:

@@ -41,12 +41,6 @@ class BraidWord:
                 raise BraidSyntaxError(
                     f"letter {x} out of range for {self.strands} strands")
 
-    @classmethod
-    def from_letters(cls, letters):
-        letters = tuple(letters)
-        n = max((abs(x) for x in letters), default=0) + 1
-        return cls(n, letters)
-
     def __str__(self):
         return f"{word_text(self) or '(empty)'} on {self.strands} strands"
 
@@ -83,24 +77,17 @@ class Permutation:
 
     images: tuple
 
-    def cycles(self):
-        n = len(self.images)
-        seen = [False] * n
-        out = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            cyc, j = [], s
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j + 1)
-                j = self.images[j] - 1
-            out.append(tuple(cyc))
-        return out
-
     @property
     def cycle_count(self):
-        return len(self.cycles())
+        seen = [False] * len(self.images)
+        count = 0
+        for s in range(len(self.images)):
+            count += not seen[s]
+            j = s
+            while not seen[j]:
+                seen[j] = True
+                j = self.images[j] - 1
+        return count
 
 
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
@@ -119,7 +106,7 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
             raise BraidSyntaxError("letter 0 is not a generator")
         letters.append(x)
     if strands is None:
-        return BraidWord.from_letters(letters)
+        strands = max(map(abs, letters), default=0) + 1
     return BraidWord(strands, tuple(letters))
 
 

@@ -127,9 +127,9 @@ def test_monodromy_normalizes_weak_words(capsys):
 def test_commands_build_each_object_once(monkeypatch, capsys):
     from collections import Counter
 
-    from homolink import cli, enumeration, jones, monodromy
+    from homolink import cli, enumeration, jones, monodromy, reference
     calls = Counter()
-    for mod in (cli, enumeration, jones, monodromy):
+    for mod in (cli, enumeration, jones, monodromy, reference):
         for name in ("build_surface", "seifert_matrix", "twist_sequence",
                      "jones_kauffman", "jones_polynomial"):
             fn = getattr(mod, name, None)

@@ -231,6 +231,26 @@ def test_classify_computes_one_signature_per_class(monkeypatch):
     assert sum(c.size for c in report.classes) == 873
 
 
+def test_genus_space_signs_only_knot_classes(monkeypatch):
+    # the component count is constant on a class, so a genus search drops
+    # non-knot orbits before any signature
+    from homolink import enumeration
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return link_signature(w)
+
+    monkeypatch.setattr(enumeration, "link_signature", counted)
+    report = classify(SearchSpace(genus=2))
+    assert len(calls) == 30
+    assert report.class_count == 10
+    assert sum(c.size for c in report.classes) == 131
+    calls.clear()
+    classify(SearchSpace(genus=1))
+    assert len(calls) == 3
+
+
 @st.composite
 def far_commutation_moves(draw):
     """A word, one of its rotations with a far swap, and its symmetries."""
@@ -369,6 +389,21 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not found, f"{path.name} has assert on lines {found}"
+
+
+def test_package_has_no_function_local_imports():
+    # imports sit at module top, so the import graph is the module graph
+    import ast
+    from pathlib import Path
+
+    import homolink
+    for path in sorted(Path(homolink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [n.lineno for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for n in ast.walk(f)
+                 if isinstance(n, (ast.Import, ast.ImportFrom))]
+        assert not found, f"{path.name} imports inside functions on {found}"
 
 
 def test_word_formats_written_only_in_words():

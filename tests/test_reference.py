@@ -13,6 +13,7 @@ from homolink.reference import (
     find_entry,
     load_reference_table,
     parse_entry,
+    table_rows,
     verify_entry,
     verify_table,
     write_table,
@@ -88,6 +89,20 @@ def test_load_reports_malformed_line(tmp_path):
     path.write_text(json.dumps(good) + "\n\n{\"name\": \"broken\"}\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match="line 3"):
+        load_reference_table(path)
+
+
+def test_table_in_an_unknown_variable_is_malformed(tmp_path):
+    # only z and t are polynomial variables; "q" is not read as t
+    row = entry_to_json(find_entry("3_1"))
+    row["published_alexander"]["var"] = "q"
+    with pytest.raises(ValueError, match="'q'"):
+        parse_entry(row)
+    path = tmp_path / "q.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    [(ln, parsed)] = table_rows(path.read_text(encoding="utf-8"))
+    assert ln == 1 and isinstance(parsed, ValueError)
+    with pytest.raises(ValueError, match="line 1"):
         load_reference_table(path)
 
 
