@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too),
 an output file that cannot be written or a reference-table defect (two
 verified entries with one signature; one `table defect: ...` line), 3
 disconnected word (split factors listed), 4 inhomogeneous input where
-homogeneity is required, 5 work cap exceeded (Conway degree over 6, a bound
+homogeneity is required, 5 work cap exceeded (Conway degree over 5, a bound
 over degree 715). A word that is both split and inhomogeneous is refused
 as split by every command. Engines and commands refuse by raising; `main`
 alone maps each error type to its exit code and stderr lines. Output is
@@ -30,7 +30,8 @@ from .jones import JONES_LENGTH_CAP, jones_polynomial
 from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
                         twist_sequence)
-from .polynomials import ConwayPolynomial, equal_up_to_unit
+from .polynomials import (ConwayPolynomial, alexander_sign,
+                          conway_to_laurent, equal_up_to_unit)
 from .reference import table_rows, verify_table, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
@@ -103,6 +104,10 @@ def cmd_analyze(args) -> int:
         report["conway_skein"] = skein.to_json()
         report["conway_seifert"] = surface.to_json()
         report["routes_agree"] = skein == surface
+        seifert_alex = alexander_sign(conway_to_laurent(surface).as_dict())
+        if seifert_alex != alex.as_dict():
+            raise RuntimeError(f"alexander cross-check failed on {w}: burau "
+                               f"{alex.as_dict()} != seifert {seifert_alex}")
 
     jones = None
     if len(w.letters) <= JONES_LENGTH_CAP:

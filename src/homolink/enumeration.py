@@ -48,8 +48,9 @@ from .reference import (LinkSignature, entry_signature, link_signature,
 from .words import (BraidWord, component_count, require_connected,
                     require_homogeneous, sign_map, word_text, word_to_json)
 
-# Largest Conway degree a search space may reach (genus 3 is degree 6).
-SEARCH_CAP = 6
+# Largest Conway degree a search space may reach. Degree 6 (genus 3) has
+# 9,801,947 column sequences and cannot finish, so it is refused up front.
+SEARCH_CAP = 5
 # Largest k whose bound_p(k) prints within Python's 4,300-digit default for
 # int-to-str conversion (bound_p(715) has 4,297 digits, bound_p(716) 4,304).
 BOUND_CAP = 715

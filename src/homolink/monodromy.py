@@ -52,7 +52,6 @@ class HomologyAction:
 
     matrix: tuple
     intersection_form: tuple
-    basis: tuple
 
     @property
     def dimension(self):
@@ -104,7 +103,7 @@ def homology_action(seq: TwistSequence, J) -> HomologyAction:
         M[idx] = [M[idx][c] + sum(coef[l] * M[l][c] for l in range(k))
                   for c in range(k)]
     J_t = tuple(tuple(rw) for rw in J)
-    return HomologyAction(tuple(tuple(rw) for rw in M), J_t, basis)
+    return HomologyAction(tuple(tuple(rw) for rw in M), J_t)
 
 
 def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
@@ -126,7 +125,7 @@ def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
             "Seifert matrix is not unimodular; fibred data cannot "
             "produce fractional monodromy entries")
     M = tuple(tuple(v // d for v in row[k:]) for row in rows)
-    return HomologyAction(M, V.intersection_form(), V.loops)
+    return HomologyAction(M, V.intersection_form())
 
 
 def action_of_word(w: BraidWord) -> HomologyAction:

@@ -71,6 +71,17 @@ def test_analyze_inhomogeneous_still_reports_alexander(capsys):
     assert "alexander" in out
 
 
+def test_analyze_checks_burau_alexander_against_seifert(monkeypatch):
+    # on a homogeneous word the printed Alexander comes from Burau and is
+    # held equal to the Seifert route's Conway under z = t^1/2 - t^-1/2
+    from homolink.polynomials import LaurentPolynomial
+    monkeypatch.setattr("homolink.cli.alexander_via_burau",
+                        lambda w: LaurentPolynomial.from_dict({0: 1}))
+    with pytest.raises(RuntimeError, match=r"failed on 1 1 1 on 2 strands: "
+                                           r"burau \{0: 1\} != seifert \{"):
+        main(["analyze", "1 1 1"])
+
+
 def test_analyze_jones_cap(capsys):
     code, out, _ = run(capsys, "analyze", " ".join(["1"] * 17))
     assert code == EXIT_OK
@@ -185,19 +196,20 @@ def test_enumerate_genus_one_text(capsys):
 
 def test_enumerate_cap(capsys):
     # genus g is Conway degree 2g, and the cap reads the Conway degree
-    for flag, value, degree in (("--degree", 9, 9), ("--genus", 4, 8),
+    for flag, value, degree in (("--degree", 6, 6), ("--degree", 9, 9),
+                                ("--genus", 3, 6), ("--genus", 4, 8),
                                 ("--genus", 6, 12)):
         code, out, err = run(capsys, "enumerate", flag, str(value))
         assert code == EXIT_CAP
         assert out == ""
-        assert err == f"cap exceeded: Conway degree {degree} exceeds cap 6\n"
+        assert err == f"cap exceeded: Conway degree {degree} exceeds cap 5\n"
 
 
 @pytest.mark.parametrize("mode, digest", [
     ("--degree",
-     "65b4880678e7d88dcf8e8e3c582a23a02e1bbe19b53a4fd4fcb37b376fd12c74"),
+     "f86e6791b3eb558a21af84c7a7c6ccef65b5ee2d46e41c2c14f2d2c9b23f873e"),
     ("--genus",
-     "22855cb3e6333955af32d23ff6d583971eaee2bdeba520d51a1b3fd5fc2c9629"),
+     "dd5d385a517b2549947b5a41ce9f1e71110800a95f502e6c9c3e0a493e010dd0"),
 ])
 def test_enumerate_json_golden(capsys, mode, digest):
     # The full degree-4 / genus-2 reports, pinned byte for byte: any change

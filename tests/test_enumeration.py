@@ -81,9 +81,10 @@ def test_classify_refuses_over_cap_before_generating(monkeypatch):
         raise AssertionError("generated words for a space over the cap")
 
     monkeypatch.setattr(enumeration, "_column_sequences", forbidden)
-    with pytest.raises(CapExceededError):
-        classify(SearchSpace(degree=7))
-    for genus in (4, 6):        # the cap reads the Conway degree, 2g
+    for degree in (6, 7):       # degree 6 (genus 3) cannot finish
+        with pytest.raises(CapExceededError):
+            classify(SearchSpace(degree=degree))
+    for genus in (3, 4, 6):     # the cap reads the Conway degree, 2g
         with pytest.raises(CapExceededError,
                            match=f"Conway degree {2 * genus} exceeds"):
             classify(SearchSpace(genus=genus))
@@ -475,7 +476,7 @@ def test_report_json_shape():
     report = classify(SearchSpace(degree=1))
     data = report_to_json(report)
     assert data["schema"] == 1
-    assert data["space"] == {"degree": 1, "genus": None, "cap": 6}
+    assert data["space"] == {"degree": 1, "genus": None, "cap": 5}
     assert len(data["classes"]) == 1
     cls = data["classes"][0]
     assert cls["matched"] == "hopf"

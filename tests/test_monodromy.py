@@ -94,10 +94,9 @@ def test_seifert_route_rejects_fractional_entries():
 
 def test_determinant_sign_and_singular():
     J = ((0, 1), (-1, 0))
-    loops = ((1, 1), (1, 2))
-    assert HomologyAction(((0, 1), (1, 0)), J, loops).determinant() == -1
-    assert HomologyAction(((2, 1), (4, 2)), J, loops).determinant() == 0
-    assert HomologyAction((), (), ()).determinant() == 1
+    assert HomologyAction(((0, 1), (1, 0)), J).determinant() == -1
+    assert HomologyAction(((2, 1), (4, 2)), J).determinant() == 0
+    assert HomologyAction((), ()).determinant() == 1
 
 
 @pytest.mark.parametrize("r", [11, 16, 20])
@@ -114,7 +113,7 @@ def test_long_words_cross_routes(r):
 
 
 def test_preserves_form_detects_non_symplectic_matrix():
-    act = HomologyAction(((2, 0), (0, 1)), ((0, 1), (-1, 0)), ((1, 1), (1, 2)))
+    act = HomologyAction(((2, 0), (0, 1)), ((0, 1), (-1, 0)))
     assert not act.preserves_form()
 
 

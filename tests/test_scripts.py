@@ -1,10 +1,10 @@
 """Smoke runs of the scripts under scripts/, so they do not rot."""
 
-import json
+import re
 import runpy
 from pathlib import Path
 
-from homolink.enumeration import SearchSpace, classify, report_to_json
+import homolink
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -22,22 +22,14 @@ def test_calibrate_conventions_keeps_the_shipped_constants(capsys):
     assert out.count("<- shipped") == 1
 
 
-def test_verify_reference_table_verifies_every_entry(capsys):
-    script = load("verify_reference_table")
-    assert script["main"]([]) == 0
-    out = capsys.readouterr().out
-    assert "verified 22 of 22 entries" in out
-    assert out.count("(burau and seifert match published)") == 22
-
-
-def test_reproduce_tables_writes_the_classification_reports(tmp_path, capsys):
-    script = load("reproduce_tables")
-    assert script["main"](["--out", str(tmp_path)]) == 0
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(f"{name}.{ext}" for name in (
-        "degree_0", "degree_1", "degree_2", "degree_3", "degree_4",
-        "genus_0", "genus_1", "genus_2") for ext in ("json", "csv"))
-    expected = json.dumps(report_to_json(classify(SearchSpace(degree=2))),
-                          sort_keys=True, indent=2) + "\n"
-    assert (tmp_path / "degree_2.json").read_text() == expected
-    assert f"reports written to {tmp_path}/" in capsys.readouterr().out
+def test_no_second_front_end():
+    # the CLI alone verifies the table and writes the reports, and the
+    # report-file format (json.dumps with indent=) lives only in cli.py
+    calls = re.compile(r"\b(verify_table|classify|report_to_json|"
+                       r"report_to_csv|write_text)\(")
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    for path in scripts:
+        assert not calls.search(path.read_text(encoding="utf-8")), path.name
+    package = sorted(Path(homolink.__file__).parent.glob("*.py"))
+    assert {path.name for path in scripts + package
+            if "indent=" in path.read_text(encoding="utf-8")} == {"cli.py"}
