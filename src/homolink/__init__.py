@@ -14,7 +14,7 @@ from .errors import (BraidSyntaxError, CapExceededError,
 from .polynomials import (ConwayPolynomial, LaurentPolynomial,
                           conway_to_laurent, equal_up_to_unit,
                           polynomial_from_json)
-from .words import (BraidWord, ExponentProfile, Permutation, component_count,
+from .words import (BraidWord, ExponentProfile, component_count,
                     cyclic_permute, exponent_profile, far_commute,
                     is_homogeneous, normalize_nonweak, parse_word,
                     permutation, shift, split_factors, weak_indices,
@@ -26,10 +26,9 @@ from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
                       knot_genus, seifert_matrix, surface_conway)
 from .jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from .burau import alexander_via_burau, unreduced_burau
-from .monodromy import (HomologyAction, TwistSequence, action_of_word,
-                        char_poly, homology_action, matrix_order,
-                        monodromy_from_seifert, monodromy_order_bound,
-                        twist_sequence)
+from .monodromy import (HomologyAction, action_of_word, char_poly,
+                        homology_action, matrix_order, monodromy_from_seifert,
+                        monodromy_order_bound, twist_sequence)
 from .enumeration import (ClassificationReport, LinkClass, LinkSignature,
                           SearchSpace, bound_n, bound_p, check_membership,
                           class_key, classify, enumerate_words,
@@ -46,10 +45,10 @@ __all__ = [
     "InhomogeneousWordError", "TableDefectError",
     "ConwayPolynomial", "LaurentPolynomial", "conway_to_laurent",
     "equal_up_to_unit", "polynomial_from_json",
-    "BraidWord", "ExponentProfile", "Permutation", "component_count",
-    "cyclic_permute", "exponent_profile", "far_commute", "is_homogeneous",
-    "normalize_nonweak", "parse_word", "permutation", "shift",
-    "split_factors", "weak_indices", "word_from_json", "word_to_json",
+    "BraidWord", "ExponentProfile", "component_count", "cyclic_permute",
+    "exponent_profile", "far_commute", "is_homogeneous", "normalize_nonweak",
+    "parse_word", "permutation", "shift", "split_factors", "weak_indices",
+    "word_from_json", "word_to_json",
     "SkeinStep", "complexity", "complexity_less", "conway_skein",
     "degree_and_leading", "reduction_step",
     "BraidedSurface", "SeifertMatrix", "alexander_from_seifert",
@@ -57,9 +56,9 @@ __all__ = [
     "knot_genus", "seifert_matrix", "surface_conway",
     "JONES_LENGTH_CAP", "jones_kauffman", "jones_polynomial",
     "alexander_via_burau", "unreduced_burau",
-    "HomologyAction", "TwistSequence", "action_of_word", "char_poly",
-    "homology_action", "matrix_order", "monodromy_from_seifert",
-    "monodromy_order_bound", "twist_sequence",
+    "HomologyAction", "action_of_word", "char_poly", "homology_action",
+    "matrix_order", "monodromy_from_seifert", "monodromy_order_bound",
+    "twist_sequence",
     "ClassificationReport", "LinkClass", "LinkSignature", "SearchSpace",
     "bound_n", "bound_p", "check_membership", "class_key", "classify",
     "enumerate_words", "link_signature", "orbit_canonical", "report_to_csv",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, enumerate, monodromy, verify-table, bounds.
-Exit codes: 0 success, 2 parse failure (a negative --degree or --genus too),
+Exit codes: 0 success, 1 a verify-table entry that fails (the table is
+still written), 2 parse failure (a negative --degree or --genus too),
 an output file that cannot be written or a reference-table defect (two
 verified entries with one signature; one `table defect: ...` line), 3
 disconnected word (split factors listed), 4 inhomogeneous input where
@@ -42,6 +43,7 @@ from .words import (component_count, exponent_profile, homogeneous_letters,
                     word_to_json)
 
 EXIT_OK = 0
+EXIT_UNVERIFIED = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_INHOMOGENEOUS = 4
@@ -184,9 +186,9 @@ def cmd_monodromy(args) -> int:
     require_connected(w, "monodromy")
     require_homogeneous(w, "monodromy")
     norm = normalize_nonweak(w)
-    seq = twist_sequence(norm)
+    twists = twist_sequence(norm)
     V = seifert_matrix(build_surface(norm))
-    act = homology_action(seq, V.intersection_form())
+    act = homology_action(twists, V)
     seif_act = monodromy_from_seifert(V)
     cp = char_poly(act)
     alex = alexander_from_seifert(V)
@@ -195,7 +197,7 @@ def cmd_monodromy(args) -> int:
     report = {
         "schema": 1,
         "word": word_to_json(norm),
-        "twists": [{"loop": [i, j], "sign": s} for (i, j), s in seq.twists],
+        "twists": [{"loop": [i, j], "sign": s} for (i, j), s in twists],
         "homology_matrix": [list(row) for row in act.matrix],
         "char_poly": cp.to_json(),
         "alexander": alex.to_json(),
@@ -203,8 +205,9 @@ def cmd_monodromy(args) -> int:
         "form_preserved": act.preserves_form(),
         "routes_agree": act.matrix == seif_act.matrix,
     }
-    is_torus = (norm.strands == 2 and len(norm.letters) >= 2
-                and len(set(norm.letters)) == 1)
+    # a homogeneous word without weak indices on 2 strands is sigma_1^(+-q)
+    # with q >= 2, the torus shape monodromy_order_bound accepts
+    is_torus = norm.strands == 2
     if is_torus:
         report["order_bound"] = monodromy_order_bound(norm)
         report["order"] = matrix_order(act)
@@ -215,8 +218,8 @@ def cmd_monodromy(args) -> int:
 
     if norm.letters != w.letters or norm.strands != w.strands:
         _emit(f"normalized to [{word_text(norm)}] on {norm.strands} strands")
-    _emit(f"twists ({len(seq.twists)}):")
-    for (i, j), s in seq.twists:
+    _emit(f"twists ({len(twists)}):")
+    for (i, j), s in twists:
         _emit(f"  loop ({i},{j}) sign {s:+d}")
     _emit("homology action:")
     for row in act.matrix:
@@ -256,7 +259,7 @@ def cmd_verify_table(args) -> int:
     ok_count = sum(entry.verified for entry in entries)
     _emit(f"verified {ok_count}, failed {len(entries) - ok_count}, "
           f"malformed {len(rows) - len(entries)}; wrote {out_path}")
-    return EXIT_OK
+    return EXIT_OK if ok_count == len(entries) else EXIT_UNVERIFIED
 
 
 def cmd_bounds(args) -> int:

@@ -29,24 +29,6 @@ ORDER_CAP = 512  # matrix_order gives up past this power
 
 
 @dataclass(frozen=True)
-class TwistSequence:
-    """Ordered Dehn twists ((i, j), sign), first-applied first.
-
-    As mapping classes the product reads right to left, so the matrix of
-    the sequence is T(last) * ... * T(first).
-    """
-
-    twists: tuple
-
-    def __len__(self):
-        return len(self.twists)
-
-    @property
-    def basis_loops(self):
-        return tuple(sorted({loop for loop, _ in self.twists}))
-
-
-@dataclass(frozen=True)
 class HomologyAction:
     """Integer matrix of the monodromy on H1 of the fiber, with its form."""
 
@@ -66,12 +48,14 @@ class HomologyAction:
         return bareiss([list(row) for row in self.matrix])
 
 
-def twist_sequence(w: BraidWord) -> TwistSequence:
-    """Per column i: loops (i,1)..(i,q_i - 1), sign alpha(i).
+def twist_sequence(w: BraidWord) -> tuple:
+    """Ordered Dehn twists ((i, j), sign), first-applied first.
 
-    A negative column is the inverse of the positive product, so its twists
-    come out reversed and negated. Total length is m - n + 1 for any
-    connected word.
+    Per column i: loops (i,1)..(i,q_i - 1), sign alpha(i). A negative
+    column is the inverse of the positive product, so its twists come out
+    reversed and negated. Total length is m - n + 1 for any connected word.
+    As mapping classes the product reads right to left, so the matrix of
+    the sequence is T(last) * ... * T(first).
     """
     require_homogeneous(w, "twist_sequence")
     require_connected(w, "twist_sequence")
@@ -83,27 +67,28 @@ def twist_sequence(w: BraidWord) -> TwistSequence:
         if sgn[i] < 0:
             col.reverse()
         out.extend(col)
-    return TwistSequence(tuple(out))
+    return tuple(out)
 
 
-def homology_action(seq: TwistSequence, J) -> HomologyAction:
-    """Compose the transvections x -> x + sign * <x, loop> * loop over J."""
-    basis = seq.basis_loops
+def homology_action(twists, V: SeifertMatrix) -> HomologyAction:
+    """Compose the transvections x -> x + sign * <x, loop> * loop in the
+    basis V.loops, paired by V's intersection form; the twisted loops must
+    be exactly V.loops."""
+    index = {loop: a for a, loop in enumerate(V.loops)}
+    if {loop for loop, _ in twists} != index.keys():
+        raise ValueError("twisted loops do not match the Seifert basis "
+                         f"{V.loops}")
+    J = V.intersection_form()
     k = len(J)
-    if len(basis) != k or any(len(row) != k for row in J):
-        raise ValueError(
-            f"form dimension {len(J)} does not match {len(basis)} loops")
-    index = {loop: a for a, loop in enumerate(basis)}
     M = [list(row) for row in identity(k)]
-    for loop, s in seq.twists:
+    for loop, s in twists:
         # left-multiply by T^s = I + E, E[idx][l] = eps*s*J[l][idx]; only
         # row idx changes, and E[idx][idx] = 0 because J is skew
         idx = index[loop]
         coef = [_EPS * s * J[l][idx] for l in range(k)]
         M[idx] = [M[idx][c] + sum(coef[l] * M[l][c] for l in range(k))
                   for c in range(k)]
-    J_t = tuple(tuple(rw) for rw in J)
-    return HomologyAction(tuple(tuple(rw) for rw in M), J_t)
+    return HomologyAction(tuple(tuple(rw) for rw in M), J)
 
 
 def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
@@ -131,7 +116,7 @@ def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
 def action_of_word(w: BraidWord) -> HomologyAction:
     """Twist-route action of a homogeneous connected word, one call."""
     V = seifert_matrix(build_surface(w))
-    return homology_action(twist_sequence(w), V.intersection_form())
+    return homology_action(twist_sequence(w), V)
 
 
 def char_poly(action: HomologyAction) -> LaurentPolynomial:
@@ -156,8 +141,7 @@ def matrix_order(action: HomologyAction):
 def monodromy_order_bound(w: BraidWord) -> int:
     """lcm(2, q) for the (2, +-q) torus word sigma_1^(+-q), q >= 2."""
     letters = w.letters
-    if (w.strands != 2 or len(letters) < 2
-            or len(set(letters)) != 1 or abs(letters[0]) != 1):
+    if w.strands != 2 or len(letters) < 2 or len(set(letters)) != 1:
         raise ValueError(
             f"order bound is stated for sigma_1^q words only, got {w}")
     return lcm(2, len(letters))

@@ -292,12 +292,21 @@ class LaurentPolynomial(_Polynomial):
 
 
 def polynomial_from_json(obj):
-    coeffs = {int(e): int(c) for e, c in obj["coeffs"].items()}
+    """Inverse of to_json; coefficients and a t-polynomial's scale must be
+    JSON integers, so a float, string or boolean is refused, not truncated."""
+    raw = obj["coeffs"]
+    if type(raw) is not dict or any(type(c) is not int for c in raw.values()):
+        raise ValueError(f"coefficients must be an object of integers, "
+                         f"got {raw!r}")
+    coeffs = {int(e): c for e, c in raw.items()}
     if obj["var"] == "z":
         return ConwayPolynomial.from_dict(coeffs)
     if obj["var"] != "t":
         raise ValueError(f"unknown polynomial variable {obj['var']!r}")
-    return LaurentPolynomial.from_dict(coeffs, scale=int(obj["scale"]))
+    scale = obj["scale"]
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale!r}")
+    return LaurentPolynomial.from_dict(coeffs, scale=scale)
 
 
 def conway_to_laurent(poly: ConwayPolynomial) -> LaurentPolynomial:

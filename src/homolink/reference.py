@@ -44,9 +44,13 @@ class ReferenceEntry:
 def parse_entry(obj: dict) -> ReferenceEntry:
     word = word_from_json(obj)
     pub = polynomial_from_json(obj["published_alexander"])
-    if not isinstance(pub, LaurentPolynomial):
-        raise ValueError("published_alexander must be a t-polynomial")
-    return ReferenceEntry(str(obj["name"]), word, bool(obj["verified"]),
+    if not isinstance(pub, LaurentPolynomial) or pub.scale != 2:
+        raise ValueError("published_alexander must be a t-polynomial at "
+                         "scale 2 (half powers), like every Alexander value")
+    verified = obj["verified"]
+    if type(verified) is not bool:
+        raise ValueError(f"verified must be true or false, got {verified!r}")
+    return ReferenceEntry(str(obj["name"]), word, verified,
                           pub, str(obj.get("note", "")))
 
 
@@ -196,16 +200,16 @@ def verify_entry(entry: ReferenceEntry):
 
     The Burau determinant is computed for every word; connected words
     additionally go through the Seifert matrix, and the two must agree with
-    each other and with the published value exactly.
+    each other and with the published value exactly, scale included.
     """
-    published = entry.published_alexander.as_dict()
-    computed = alexander_via_burau(entry.word).as_dict()
+    published = entry.published_alexander
+    computed = alexander_via_burau(entry.word)
     ok = computed == published
     detail = "burau matches published" if ok else (
         f"burau disagrees with published: {computed} vs {published}")
     w = entry.word
     if ok and connected(w.letters, w.strands):
-        surf = alexander_from_seifert(seifert_matrix(build_surface(w))).as_dict()
+        surf = alexander_from_seifert(seifert_matrix(build_surface(w)))
         if surf != published:
             ok = False
             detail = f"seifert route disagrees: {surf} vs {published}"

@@ -71,25 +71,6 @@ class ExponentProfile:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..n} as a tuple of images (position i-1 -> image)."""
-
-    images: tuple
-
-    @property
-    def cycle_count(self):
-        seen = [False] * len(self.images)
-        count = 0
-        for s in range(len(self.images)):
-            count += not seen[s]
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-        return count
-
-
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse whitespace-separated signed generator indices.
 
@@ -201,17 +182,27 @@ def split_factors(w: BraidWord) -> list:
     return factors
 
 
-def permutation(w: BraidWord) -> Permutation:
-    """Product of the transpositions (|x|, |x|+1) in letter order."""
+def permutation(w: BraidWord) -> tuple:
+    """Images of 1..n under the transpositions (|x|, |x|+1) in letter order."""
     p = list(range(1, w.strands + 1))
     for x in w.letters:
         i = abs(x) - 1
         p[i], p[i + 1] = p[i + 1], p[i]
-    return Permutation(tuple(p))
+    return tuple(p)
 
 
 def component_count(w: BraidWord) -> int:
-    return permutation(w).cycle_count
+    """Cycles of the permutation, one per closure component."""
+    images = permutation(w)
+    seen = [False] * len(images)
+    count = 0
+    for s in range(len(images)):
+        count += not seen[s]
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            j = images[j] - 1
+    return count
 
 
 def cyclic_permute(w: BraidWord, k: int) -> BraidWord:
@@ -243,7 +234,14 @@ def word_to_json(w: BraidWord) -> dict:
 
 
 def word_from_json(obj) -> BraidWord:
-    return BraidWord(int(obj["n"]), tuple(int(x) for x in obj["word"]))
+    """Inverse of word_to_json; n and the letters must be JSON integers, so
+    a float, string or boolean is refused rather than truncated."""
+    n, letters = obj["n"], obj["word"]
+    if (type(n) is not int or type(letters) is not list
+            or any(type(x) is not int for x in letters)):
+        raise ValueError(f"word needs integer n and letters, got n {n!r}, "
+                         f"word {letters!r}")
+    return BraidWord(n, tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from homolink.cli import (
     EXIT_INHOMOGENEOUS,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_UNVERIFIED,
     main,
 )
 from homolink.enumeration import bound_p
@@ -344,7 +345,8 @@ def test_verify_table_flow(tmp_path, capsys):
     before = table.read_text(encoding="utf-8")
 
     code, out, _ = run(capsys, "verify-table", str(table))
-    assert code == EXIT_OK
+    # a failed entry is a nonzero exit; the table is still written
+    assert code == EXIT_UNVERIFIED == 1
     assert "hopf: ok" in out
     assert "line 2: malformed entry skipped" in out
     assert "3_1: FAIL" in out

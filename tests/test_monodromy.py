@@ -7,7 +7,6 @@ from conftest import homogeneous_connected
 from homolink.errors import DisconnectedWordError, InhomogeneousWordError
 from homolink.monodromy import (
     HomologyAction,
-    TwistSequence,
     action_of_word,
     char_poly,
     homology_action,
@@ -18,18 +17,18 @@ from homolink.monodromy import (
 )
 from homolink.burau import alexander_via_burau
 from homolink.polynomials import equal_up_to_unit
-from homolink.seifert import alexander_from_seifert, build_surface, seifert_matrix
+from homolink.seifert import (SeifertMatrix, alexander_from_seifert,
+                              build_surface, seifert_matrix)
 from homolink.words import BraidWord, parse_word
 
 
 def test_twist_sequence_examples():
-    assert twist_sequence(parse_word("1 1 1")).twists == (
-        ((1, 1), 1), ((1, 2), 1))
-    assert twist_sequence(parse_word("-1 -1 -1")).twists == (
+    assert twist_sequence(parse_word("1 1 1")) == (((1, 1), 1), ((1, 2), 1))
+    assert twist_sequence(parse_word("-1 -1 -1")) == (
         ((1, 2), -1), ((1, 1), -1))
-    assert twist_sequence(parse_word("1 1 -2 -2 -2")).twists == (
+    assert twist_sequence(parse_word("1 1 -2 -2 -2")) == (
         ((1, 1), 1), ((2, 2), -1), ((2, 1), -1))
-    assert twist_sequence(parse_word("")).twists == ()
+    assert twist_sequence(parse_word("")) == ()
 
 
 def test_twist_sequence_errors():
@@ -42,9 +41,11 @@ def test_twist_sequence_errors():
 def test_twist_count_is_first_betti():
     for text in ["1 1 1", "1 -2 1 -2", "1 1 2 2 3 3", "1 1 1 2 2"]:
         w = parse_word(text)
-        seq = twist_sequence(w)
-        assert len(seq) == len(w.letters) - w.strands + 1
-        assert seq.basis_loops == build_surface(w).basis_loops
+        twists = twist_sequence(w)
+        assert len(twists) == len(w.letters) - w.strands + 1
+        # each loop of V's basis is twisted exactly once
+        V = seifert_matrix(build_surface(w))
+        assert sorted(loop for loop, _ in twists) == sorted(V.loops)
 
 
 def test_trefoil_action():
@@ -58,15 +59,36 @@ def test_trefoil_action():
 
 
 def test_homology_action_identity_when_no_twists():
-    act = homology_action(TwistSequence(()), ())
+    act = homology_action((), SeifertMatrix((), ()))
     assert act.matrix == ()
     assert matrix_order(act) == 1
 
 
 def test_homology_action_dimension_mismatch():
-    seq = twist_sequence(parse_word("1 1 1"))
-    with pytest.raises(ValueError):
-        homology_action(seq, ((0,),))
+    twists = twist_sequence(parse_word("1 1 1"))
+    # V of another word: other size, then same size but other loops
+    for text in ["1 1 1 1", "1 1 2 2", "1 1"]:
+        V = seifert_matrix(build_surface(parse_word(text)))
+        with pytest.raises(ValueError, match="Seifert basis"):
+            homology_action(twists, V)
+
+
+@pytest.mark.parametrize("text", ["1 1 1 2 2", "1 -2 1 -2 1 -2",
+                                  "1 1 2 2 3 3 3"])
+def test_twist_route_follows_seifert_basis(text):
+    # reversing V's loop order, entries permuted to match, conjugates the
+    # twist-route matrix by the reversal, as it does V^(-1) V^T
+    w = parse_word(text)
+    V = seifert_matrix(build_surface(w))
+    rev = range(V.dimension - 1, -1, -1)
+    V_rev = SeifertMatrix(tuple(tuple(V.entries[a][b] for b in rev)
+                                for a in rev), V.loops[::-1])
+    M = action_of_word(w).matrix
+    act = homology_action(twist_sequence(w), V_rev)
+    assert act.matrix == tuple(tuple(M[a][b] for b in rev) for a in rev)
+    assert act.matrix != M
+    assert act.intersection_form == V_rev.intersection_form()
+    assert act.matrix == monodromy_from_seifert(V_rev).matrix
 
 
 def test_seifert_route_matches_twist_route():

@@ -7,6 +7,7 @@ import pytest
 
 from homolink.enumeration import SearchSpace, classify
 from homolink.errors import TableDefectError
+from homolink.polynomials import LaurentPolynomial
 from homolink.reference import (
     entry_signature,
     entry_to_json,
@@ -58,6 +59,13 @@ def test_verify_entry_flags_wrong_value():
     new, detail = verify_entry(wrong)
     assert not new.verified
     assert "disagrees" in detail
+    # the right coefficients at scale 3, t^(2/3) - 1 + t^(-2/3), are a
+    # different polynomial
+    pub = entry.published_alexander
+    new, detail = verify_entry(replace(
+        entry, published_alexander=LaurentPolynomial(3, pub.coeffs)))
+    assert not new.verified
+    assert "t^(2/3)" in detail
 
 
 def test_mixed_sign_entry_word():
@@ -92,18 +100,51 @@ def test_load_reports_malformed_line(tmp_path):
         load_reference_table(path)
 
 
-def test_table_in_an_unknown_variable_is_malformed(tmp_path):
+def _bad_rows():
+    """(row, expected message) pairs, each row one defect away from 3_1."""
+    def row():
+        return entry_to_json(find_entry("3_1"))
+
     # only z and t are polynomial variables; "q" is not read as t
-    row = entry_to_json(find_entry("3_1"))
-    row["published_alexander"]["var"] = "q"
-    with pytest.raises(ValueError, match="'q'"):
-        parse_entry(row)
-    path = tmp_path / "q.jsonl"
-    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    [(ln, parsed)] = table_rows(path.read_text(encoding="utf-8"))
-    assert ln == 1 and isinstance(parsed, ValueError)
-    with pytest.raises(ValueError, match="line 1"):
-        load_reference_table(path)
+    unknown_var = row()
+    unknown_var["published_alexander"]["var"] = "q"
+    yield unknown_var, "'q'"
+    # a value of the wrong JSON type is refused, never coerced
+    flag = row()
+    flag["verified"] = "false"
+    yield flag, "verified"
+    strands = row()
+    strands["n"] = 2.9
+    yield strands, "integer n"
+    letter = row()
+    letter["word"] = [1.9, 1, 1]
+    yield letter, "integer n and letters"
+    coeff = row()
+    coeff["published_alexander"]["coeffs"]["0"] = -1.7
+    yield coeff, "coefficients"
+    scale = row()
+    scale["published_alexander"]["scale"] = "2"
+    yield scale, "scale"
+    # the table holds Alexander values at scale 2 only, so the right
+    # coefficients at scale 3 are refused, not compared
+    thirds = row()
+    thirds["published_alexander"]["scale"] = 3
+    yield thirds, "scale 2"
+    listed = row()
+    listed["published_alexander"]["coeffs"] = [1, -1, 1]
+    yield listed, "coefficients"
+
+
+def test_table_in_an_unknown_variable_is_malformed(tmp_path):
+    for row, message in _bad_rows():
+        with pytest.raises(ValueError, match=message):
+            parse_entry(row)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        [(ln, parsed)] = table_rows(path.read_text(encoding="utf-8"))
+        assert ln == 1 and isinstance(parsed, ValueError)
+        with pytest.raises(ValueError, match="line 1"):
+            load_reference_table(path)
 
 
 def test_entry_signature_matches_word_signature():

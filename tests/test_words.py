@@ -156,11 +156,13 @@ def test_split_factors_counts_unknot_gaps():
 
 
 def test_permutation_and_components():
-    assert permutation(parse_word("1 1 1")).images == (2, 1)
+    assert permutation(parse_word("1 1 1")) == (2, 1)
     assert component_count(parse_word("1 1 1")) == 1
     assert component_count(parse_word("1 1")) == 2
     assert component_count(parse_word("1 1 2 2")) == 3
-    assert permutation(parse_word("1 1 2 2")).cycle_count == 3
+    assert permutation(parse_word("1 1 2 2")) == (1, 2, 3)
+    assert permutation(parse_word("1 2")) == (2, 3, 1)
+    assert component_count(parse_word("1 2")) == 1
 
 
 def test_cyclic_permute():
