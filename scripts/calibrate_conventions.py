@@ -31,7 +31,7 @@ from homolink.burau import alexander_via_burau
 from homolink.enumeration import orbit_canonical, words_with_counts
 from homolink.seifert import build_surface
 from homolink.skein import conway_skein
-from homolink.words import BraidWord, homogeneous_letters, parse_word
+from homolink.words import BraidWord, is_homogeneous, parse_word
 
 PAIR_CHOICES = ((0, 1), (0, -1), (1, 0), (-1, 0))
 # the last two words alone cut the 256 survivors of the first five to the
@@ -86,10 +86,10 @@ def mixed_sign_orbit_words(homogeneous):
             continue    # one all-positive word per column sequence
         for signs in itertools.product((1, -1), repeat=len(w.letters)):
             letters = tuple(s * x for s, x in zip(signs, w.letters))
-            if (not homogeneous_letters(letters)
-                    and orbit_canonical(BraidWord(w.strands, letters))
-                    == letters):
-                yield BraidWord(w.strands, letters)
+            word = BraidWord(w.strands, letters)
+            if (not is_homogeneous(word)
+                    and orbit_canonical(word) == letters):
+                yield word
 
 
 def main(argv=None):

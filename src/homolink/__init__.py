@@ -14,11 +14,10 @@ from .errors import (BraidSyntaxError, CapExceededError,
 from .polynomials import (ConwayPolynomial, LaurentPolynomial,
                           conway_to_laurent, equal_up_to_unit,
                           polynomial_from_json)
-from .words import (BraidWord, ExponentProfile, component_count,
-                    cyclic_permute, exponent_profile, far_commute,
-                    is_homogeneous, normalize_nonweak, parse_word,
-                    permutation, shift, split_factors, weak_indices,
-                    word_from_json, word_to_json)
+from .words import (BraidWord, component_count, cyclic_permute,
+                    far_commute, is_homogeneous, normalize_nonweak,
+                    parse_word, permutation, shift, split_factors,
+                    weak_indices, word_from_json, word_to_json)
 from .skein import (SkeinStep, complexity, complexity_less, conway_skein,
                     degree_and_leading, reduction_step)
 from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
@@ -45,10 +44,10 @@ __all__ = [
     "InhomogeneousWordError", "TableDefectError",
     "ConwayPolynomial", "LaurentPolynomial", "conway_to_laurent",
     "equal_up_to_unit", "polynomial_from_json",
-    "BraidWord", "ExponentProfile", "component_count", "cyclic_permute",
-    "exponent_profile", "far_commute", "is_homogeneous", "normalize_nonweak",
-    "parse_word", "permutation", "shift", "split_factors", "weak_indices",
-    "word_from_json", "word_to_json",
+    "BraidWord", "component_count", "cyclic_permute", "far_commute",
+    "is_homogeneous", "normalize_nonweak", "parse_word", "permutation",
+    "shift", "split_factors", "weak_indices", "word_from_json",
+    "word_to_json",
     "SkeinStep", "complexity", "complexity_less", "conway_skein",
     "degree_and_leading", "reduction_step",
     "BraidedSurface", "SeifertMatrix", "alexander_from_seifert",

@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: analyze, enumerate, monodromy, verify-table, bounds.
-Exit codes: 0 success, 1 a verify-table entry that fails (the table is
-still written), 2 parse failure (a negative --degree or --genus too),
-an output file that cannot be written or a reference-table defect (two
-verified entries with one signature; one `table defect: ...` line), 3
-disconnected word (split factors listed), 4 inhomogeneous input where
-homogeneity is required, 5 work cap exceeded (Conway degree over 5, a bound
-over degree 715). A word that is both split and inhomogeneous is refused
-as split by every command. Engines and commands refuse by raising; `main`
-alone maps each error type to its exit code and stderr lines. Output is
-deterministic for a fixed configuration; JSON reports carry a "schema": 1
-version field, all file I/O is UTF-8 and every file is written atomically.
+Exit codes: 0 success, 1 a verify-table entry that fails or a malformed
+table line (the table is still written), 2 parse failure (a negative
+--degree or --genus too), an output file that cannot be written or a
+reference-table defect (two verified entries with one signature; one
+`table defect: ...` line), 3 disconnected word (split factors listed), 4
+inhomogeneous input where homogeneity is required, 5 work cap exceeded
+(Conway degree over 5, a bound over degree 715). A word that is both split
+and inhomogeneous is refused as split by every command. Engines and
+commands refuse by raising; `main` alone maps each error type to its exit
+code and stderr lines. Output is deterministic for a fixed configuration;
+JSON reports carry a "schema": 1 version field, all file I/O is UTF-8 and
+every file is written atomically.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .reference import table_rows, verify_table, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
-from .words import (component_count, exponent_profile, homogeneous_letters,
+from .words import (component_count, generator_signs, letter_counts,
                     normalize_nonweak, parse_word, require_connected,
-                    require_homogeneous, weak_indices, word_text,
-                    word_to_json)
+                    require_homogeneous, word_text, word_to_json)
 
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
@@ -74,17 +74,20 @@ def cmd_analyze(args) -> int:
     w = parse_word(args.word, args.strands)
     require_connected(w, "analyze")
 
-    profile = exponent_profile(w)
-    homogeneous = homogeneous_letters(w.letters)
+    # connected, so no generator is absent: alpha(i) is +-1, or None if mixed
+    q = letter_counts(w.letters, w.strands)[1:]
+    alpha = generator_signs(w.letters, w.strands)[1:]
+    homogeneous = None not in alpha
+    weak = [i for i, c in enumerate(q, 1) if c == 1]
     comps = component_count(w)
     report = {
         "schema": 1,
         "word": word_to_json(w),
         "length": len(w.letters),
         "homogeneous": homogeneous,
-        "weak_indices": sorted(weak_indices(w)),
-        "q": list(profile.q),
-        "alpha": [a if a is not None else 0 for a in profile.alpha],
+        "weak_indices": weak,
+        "q": q,
+        "alpha": [0 if a is None else a for a in alpha],
         "components": comps,
         "euler_characteristic": w.strands - len(w.letters),
     }
@@ -123,9 +126,9 @@ def cmd_analyze(args) -> int:
     _emit(f"word: [{word_text(w)}] on {w.strands} strands, length "
           f"{len(w.letters)}")
     _emit(f"homogeneous: {homogeneous}")
-    _emit(f"occurrences q: {list(profile.q)}")
-    _emit(f"signs alpha: {list(profile.alpha)}")
-    _emit(f"weak indices: {sorted(weak_indices(w)) or 'none'}")
+    _emit(f"occurrences q: {q}")
+    _emit(f"signs alpha: {alpha}")
+    _emit(f"weak indices: {weak or 'none'}")
     _emit(f"components: {comps}")
     _emit(f"surface euler characteristic: {report['euler_characteristic']}")
     if homogeneous:
@@ -259,7 +262,8 @@ def cmd_verify_table(args) -> int:
     ok_count = sum(entry.verified for entry in entries)
     _emit(f"verified {ok_count}, failed {len(entries) - ok_count}, "
           f"malformed {len(rows) - len(entries)}; wrote {out_path}")
-    return EXIT_OK if ok_count == len(entries) else EXIT_UNVERIFIED
+    return (EXIT_OK if ok_count == len(entries) == len(rows)
+            else EXIT_UNVERIFIED)
 
 
 def cmd_bounds(args) -> int:
@@ -316,6 +320,7 @@ def _build_parser():
     return p
 
 
+_PARSER = _build_parser()
 _COMMANDS = {
     "analyze": cmd_analyze,
     "enumerate": cmd_enumerate,
@@ -326,7 +331,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for flag in ("degree", "genus"):    # enumerate and bounds take these
         value = getattr(args, flag, None)
         if value is not None and value < 0:

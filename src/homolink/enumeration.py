@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from .errors import CapExceededError
 from .reference import (LinkSignature, entry_signature, link_signature,
                         signature_index)
-from .words import (BraidWord, component_count, require_connected,
-                    require_homogeneous, sign_map, word_text, word_to_json)
+from .words import (BraidWord, component_count, generator_signs,
+                    require_connected, require_homogeneous, word_text,
+                    word_to_json)
 
 # Largest Conway degree a search space may reach. Degree 6 (genus 3) has
 # 9,801,947 column sequences and cannot finish, so it is refused up front.
@@ -246,8 +247,7 @@ def class_key(w: BraidWord) -> tuple:
     require_homogeneous(w, "class_key")
     n = w.strands
     cols = tuple(abs(x) for x in w.letters)
-    sign = sign_map(w.letters)
-    signs = tuple(sign[i] for i in range(1, n))
+    signs = tuple(generator_signs(w.letters, n)[1:])
     flip = tuple(n - c for c in cols)
     return min((min(s, tuple(-x for x in s)), len(cols), _gap_key(t, n))
                for t, s in ((cols, signs), (cols[::-1], signs),

@@ -25,7 +25,8 @@ class InhomogeneousWordError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """A configured work cap (word length, search depth) would be exceeded."""
+    """A fixed work cap (a module constant such as JONES_LENGTH_CAP or
+    SEARCH_CAP) would be exceeded."""
 
 
 class TableDefectError(ValueError):

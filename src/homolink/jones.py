@@ -29,8 +29,8 @@ from .errors import CapExceededError
 from .polynomials import LaurentPolynomial, add, mul
 from .words import BraidWord
 
-# Longest word that `analyze` prints Jones for by default, and the oracle's
-# refusal length; `jones_polynomial` has no cap.
+# Longest word that `analyze` prints Jones for, and the oracle's refusal
+# length; `jones_polynomial` has no cap.
 JONES_LENGTH_CAP = 16
 
 _CIRCLE = {2: -1, -2: -1}  # -A^2 - A^-2

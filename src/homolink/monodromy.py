@@ -21,8 +21,8 @@ from math import lcm
 from .polynomials import (LaurentPolynomial, bareiss, identity, matmul,
                           pencil_det, transpose)
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
-from .words import (BraidWord, letter_counts, require_connected,
-                    require_homogeneous, sign_map)
+from .words import (BraidWord, generator_signs, letter_counts,
+                    require_connected, require_homogeneous)
 
 _EPS = 1  # transvection sign for a positive twist, calibrated
 ORDER_CAP = 512  # matrix_order gives up past this power
@@ -60,7 +60,7 @@ def twist_sequence(w: BraidWord) -> tuple:
     require_homogeneous(w, "twist_sequence")
     require_connected(w, "twist_sequence")
     q = letter_counts(w.letters, w.strands)
-    sgn = sign_map(w.letters)
+    sgn = generator_signs(w.letters, w.strands)
     out = []
     for i in range(1, w.strands):
         col = [((i, j), sgn[i]) for j in range(1, q[i])]

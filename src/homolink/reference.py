@@ -50,8 +50,11 @@ def parse_entry(obj: dict) -> ReferenceEntry:
     verified = obj["verified"]
     if type(verified) is not bool:
         raise ValueError(f"verified must be true or false, got {verified!r}")
-    return ReferenceEntry(str(obj["name"]), word, verified,
-                          pub, str(obj.get("note", "")))
+    name, note = obj["name"], obj.get("note", "")
+    if type(name) is not str or type(note) is not str:
+        raise ValueError(f"name and note must be strings, got name {name!r}, "
+                         f"note {note!r}")
+    return ReferenceEntry(name, word, verified, pub, note)
 
 
 def entry_to_json(entry: ReferenceEntry) -> dict:

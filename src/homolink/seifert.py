@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
                           pencil_det, transpose, z_extract)
-from .words import (BraidWord, component_count, letter_counts,
-                    require_connected, require_homogeneous, sign_map)
+from .words import (BraidWord, component_count, generator_signs,
+                    letter_counts, require_connected, require_homogeneous)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def decompose_murasugi(s: BraidedSurface) -> list:
     require_homogeneous(w, "decompose_murasugi")
     require_connected(w, "decompose_murasugi")
     q = letter_counts(w.letters, w.strands)
-    sgn = sign_map(w.letters)
+    sgn = generator_signs(w.letters, w.strands)
     return [(i, sgn[i], q[i]) for i in range(1, w.strands)]
 
 

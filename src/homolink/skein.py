@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polynomials import ONE, ConwayPolynomial, add, mul
-from .words import (BraidWord, letter_counts, min_rotation, require_connected,
-                    require_homogeneous, shift_letters, sign_map)
+from .words import (BraidWord, generator_signs, letter_counts, min_rotation,
+                    require_connected, require_homogeneous, shift_letters)
 
 
 def complexity(w: BraidWord) -> tuple:
@@ -78,7 +78,7 @@ def _reduce(word, n):
             return "destabilize", ((ONE, (shift_letters(word, i), n - 1)),)
     # all q_i >= 2: scan consecutive same-index pairs, smallest index first,
     # leftmost pair first, wrap-around pair last
-    sgn = sign_map(word)
+    sgn = generator_signs(word, n)
     for j in range(1, n):
         ps = [p for p, x in enumerate(word) if abs(x) == j]
         for t in range(len(ps)):
@@ -173,7 +173,7 @@ def degree_and_leading(w: BraidWord) -> tuple:
     require_homogeneous(w, "degree_and_leading")
     require_connected(w, "degree_and_leading")
     lead = 1
-    for s in sign_map(w.letters).values():
+    for s in generator_signs(w.letters, w.strands)[1:]:
         lead *= s
     for x in w.letters:
         lead *= 1 if x > 0 else -1

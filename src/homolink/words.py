@@ -9,9 +9,13 @@ exactly once (weak indices), how strands are permuted.
 
 The raw helpers at the bottom operate on plain (letters, n) pairs and are
 shared by the invariant engines; the public operations wrap them in
-BraidWord values. require_homogeneous and require_connected are the one
-precondition layer: every engine refuses a word through them, and nothing
-else raises InhomogeneousWordError or DisconnectedWordError.
+BraidWord values. letter_counts gives the occurrences q_i and
+generator_signs the signs alpha(i), both as n-entry lists read at 1..n-1;
+generator_signs is the only code that decides which sign a generator has,
+and is_homogeneous is the only homogeneity test. require_homogeneous and
+require_connected are the one precondition layer: every engine refuses a
+word through them, and nothing else raises InhomogeneousWordError or
+DisconnectedWordError.
 """
 
 from __future__ import annotations
@@ -45,32 +49,6 @@ class BraidWord:
         return f"{word_text(self) or '(empty)'} on {self.strands} strands"
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    """Per-generator occurrence data: position i-1 describes sigma_i."""
-
-    pos: tuple
-    neg: tuple
-
-    @property
-    def q(self):
-        """Occurrence counts q_i."""
-        return tuple(p + m for p, m in zip(self.pos, self.neg))
-
-    @property
-    def alpha(self):
-        """Single signs where defined, None for absent or mixed generators."""
-        out = []
-        for p, m in zip(self.pos, self.neg):
-            if p and not m:
-                out.append(1)
-            elif m and not p:
-                out.append(-1)
-            else:
-                out.append(None)
-        return tuple(out)
-
-
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse whitespace-separated signed generator indices.
 
@@ -91,20 +69,9 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def exponent_profile(w: BraidWord) -> ExponentProfile:
-    pos = [0] * (w.strands - 1)
-    neg = [0] * (w.strands - 1)
-    for x in w.letters:
-        if x > 0:
-            pos[x - 1] += 1
-        else:
-            neg[-x - 1] += 1
-    return ExponentProfile(tuple(pos), tuple(neg))
-
-
 def is_homogeneous(w: BraidWord) -> bool:
     """Each occurring generator has a single sign (empty word counts)."""
-    return homogeneous_letters(w.letters)
+    return None not in generator_signs(w.letters, w.strands)
 
 
 def weak_indices(w: BraidWord) -> set:
@@ -147,7 +114,7 @@ def normalize_nonweak(w: BraidWord) -> BraidWord:
 
 def require_homogeneous(w: BraidWord, what: str) -> None:
     """Refuse a word in which some generator occurs with both signs."""
-    if not homogeneous_letters(w.letters):
+    if not is_homogeneous(w):
         raise InhomogeneousWordError(
             f"{what} needs a homogeneous word, got {w}")
 
@@ -248,25 +215,25 @@ def word_from_json(obj) -> BraidWord:
 # raw (letters, n) helpers shared by the invariant engines
 
 def letter_counts(letters, n):
-    """q array, 1-indexed: q[i] = occurrences of generator i, q[0] unused."""
-    q = [0] * (n + 1)
+    """q[i] = occurrences of generator i for i in 1..n-1; q[0] unused."""
+    q = [0] * n
     for x in letters:
         q[abs(x)] += 1
     return q
 
 
-def homogeneous_letters(letters) -> bool:
-    sgn = {}
+def generator_signs(letters, n):
+    """alpha(i) at s[i] for i in 1..n-1, s[0] unused: +1 or -1 when every
+    sigma_i has that sign, 0 when sigma_i is absent, None when it occurs
+    with both signs. The one reading of a word's generator signs."""
+    s = [0] * n
     for x in letters:
-        s = 1 if x > 0 else -1
-        if sgn.setdefault(abs(x), s) != s:
-            return False
-    return True
-
-
-def sign_map(letters):
-    """Generator -> sign for homogeneous words (last letter wins otherwise)."""
-    return {abs(x): (1 if x > 0 else -1) for x in letters}
+        i, e = (x, 1) if x > 0 else (-x, -1)
+        if s[i] == 0:
+            s[i] = e
+        elif s[i] != e:
+            s[i] = None
+    return s
 
 
 def shift_letters(letters, i):

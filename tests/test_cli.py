@@ -362,6 +362,27 @@ def test_verify_table_flow(tmp_path, capsys):
     assert flags == {"hopf": True, "3_1": False}
 
 
+def test_verify_table_malformed_lines_exit_1(tmp_path, capsys):
+    # every entry that parses verifies, but lines that never parsed were
+    # never checked, so the table is not verified
+    table = tmp_path / "table.jsonl"
+    good = json.dumps(entry_to_json(find_entry("hopf")))
+    table.write_text("\n".join([good] + ["{\"name\": \"broken\""] * 7) + "\n",
+                     encoding="utf-8")
+    code, out, err = run(capsys, "verify-table", str(table))
+    assert code == EXIT_UNVERIFIED
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 9
+    assert lines[0] == "hopf: ok (burau and seifert match published)"
+    assert all(line.startswith(f"line {ln}: malformed entry skipped (")
+               for ln, line in enumerate(lines[1:8], start=2))
+    assert lines[8] == (f"verified 1, failed 0, malformed 7; wrote "
+                        f"{table}.verified")
+    written = (tmp_path / "table.jsonl.verified").read_text(encoding="utf-8")
+    assert written == json.dumps(json.loads(good), sort_keys=True) + "\n"
+
+
 def test_verify_table_custom_out(tmp_path, capsys):
     table = tmp_path / "t.jsonl"
     table.write_text(json.dumps(entry_to_json(find_entry("unknot"))) + "\n",

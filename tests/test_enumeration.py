@@ -27,7 +27,7 @@ from homolink.enumeration import (
 from homolink.errors import CapExceededError
 from homolink.reference import find_entry
 from homolink.words import (BraidWord, connected, cyclic_permute,
-                            far_commute, homogeneous_letters, parse_word,
+                            far_commute, is_homogeneous, parse_word,
                             weak_indices)
 
 SMALL_SPACES = ([SearchSpace(degree=k) for k in range(5)]
@@ -112,7 +112,7 @@ def test_candidates_meet_every_orbit(space):
             assert w == BraidWord(1, ())
             continue
         assert n in space.strand_range() and m == space.length_for(n)
-        assert homogeneous_letters(w.letters) and connected(w.letters, n)
+        assert is_homogeneous(w) and connected(w.letters, n)
         assert not weak_indices(w)
 
 

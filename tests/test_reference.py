@@ -133,6 +133,12 @@ def _bad_rows():
     listed = row()
     listed["published_alexander"]["coeffs"] = [1, -1, 1]
     yield listed, "coefficients"
+    named = row()
+    named["name"] = 31
+    yield named, "name and note must be strings"
+    noted = row()
+    noted["note"] = ["x"]
+    yield noted, "name and note must be strings"
 
 
 def test_table_in_an_unknown_variable_is_malformed(tmp_path):

@@ -5,12 +5,12 @@ from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
                       InhomogeneousWordError, build_surface, class_key,
                       component_count, conway_skein, cyclic_permute,
                       decompose_murasugi, degree_and_leading,
-                      exponent_profile, far_commute, is_homogeneous,
+                      far_commute, is_homogeneous,
                       knot_genus, normalize_nonweak, parse_word, permutation,
                       reduction_step, seifert_matrix, shift, split_factors,
                       surface_conway, twist_sequence, weak_indices,
                       word_from_json, word_to_json)
-from homolink.words import connected, homogeneous_letters
+from homolink.words import connected, generator_signs, letter_counts
 
 from conftest import any_words, homogeneous_connected
 
@@ -41,20 +41,39 @@ def test_parse_rejects_zero_and_out_of_range():
 
 
 def test_profile_figure_eight():
-    p = exponent_profile(parse_word("1 -2 1 -2"))
-    assert p.q == (2, 2)
-    assert p.alpha == (1, -1)
+    letters = parse_word("1 -2 1 -2").letters
+    assert letter_counts(letters, 3) == [0, 2, 2]
+    assert generator_signs(letters, 3) == [0, 1, -1]
 
 
 def test_profile_mixed_sign_alpha_undefined():
-    p = exponent_profile(parse_word("1 -1"))
-    assert p.q == (2,)
-    assert p.alpha == (None,)
+    assert letter_counts((1, -1), 2) == [0, 2]
+    assert generator_signs((1, -1), 2) == [0, None]
+    # neither the first nor the last letter of a mixed generator decides
+    assert generator_signs((-1, 2, 1, -1), 3) == [0, None, 1]
+    assert generator_signs((1, 2, -1, 1), 3) == [0, None, 1]
 
 
 def test_profile_empty():
-    p = exponent_profile(BraidWord(3, ()))
-    assert p.q == (0, 0)
+    assert letter_counts((), 3) == [0, 0, 0]
+    assert generator_signs((), 3) == [0, 0, 0]
+    assert generator_signs((), 1) == [0]
+    # an absent generator reads 0 next to present ones
+    assert generator_signs((-1, -1), 4) == [0, -1, 0, 0]
+
+
+@given(any_words())
+def test_generator_signs_and_counts_match_definition(w):
+    n, letters = w.strands, w.letters
+    q = letter_counts(letters, n)
+    s = generator_signs(letters, n)
+    assert len(q) == len(s) == n
+    for i in range(1, n):
+        signs = {1 if x > 0 else -1 for x in letters if abs(x) == i}
+        assert q[i] == sum(1 for x in letters if abs(x) == i)
+        assert s[i] == (0 if not signs else
+                        signs.pop() if len(signs) == 1 else None)
+    assert is_homogeneous(w) == all(-x not in letters for x in letters)
 
 
 def test_is_homogeneous():
@@ -205,7 +224,7 @@ def test_cyclic_permute_preserves_components(w, k):
 def test_normalize_reaches_nonweak_fixed_point(w):
     norm = normalize_nonweak(w)
     assert not weak_indices(norm)
-    assert homogeneous_letters(norm.letters)
+    assert is_homogeneous(norm)
     assert connected(norm.letters, norm.strands)
     assert normalize_nonweak(norm) == norm
     assert component_count(norm) == component_count(w)
