@@ -14,28 +14,26 @@ from .errors import (BraidSyntaxError, CapExceededError,
 from .polynomials import (ConwayPolynomial, LaurentPolynomial,
                           conway_to_laurent, equal_up_to_unit,
                           polynomial_from_json)
-from .words import (BraidWord, component_count, cyclic_permute,
-                    far_commute, is_homogeneous, normalize_nonweak,
-                    parse_word, permutation, shift, split_factors,
-                    weak_indices, word_from_json, word_to_json)
-from .skein import (SkeinStep, complexity, complexity_less, conway_skein,
-                    degree_and_leading, reduction_step)
+from .words import (BraidWord, component_count, is_homogeneous,
+                    normalize_nonweak, parse_word, permutation, shift,
+                    split_factors, weak_indices, word_from_json, word_to_json)
+from .skein import (SkeinStep, complexity, conway_skein, degree_and_leading,
+                    reduction_step)
 from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
                       build_surface, conway_from_seifert, decompose_murasugi,
-                      knot_genus, seifert_matrix, surface_conway)
+                      knot_genus, seifert_matrix)
 from .jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from .burau import alexander_via_burau, unreduced_burau
 from .monodromy import (HomologyAction, action_of_word, char_poly,
                         homology_action, matrix_order, monodromy_from_seifert,
                         monodromy_order_bound, twist_sequence)
 from .enumeration import (ClassificationReport, LinkClass, LinkSignature,
-                          SearchSpace, bound_n, bound_p, check_membership,
-                          class_key, classify, enumerate_words,
-                          link_signature, orbit_canonical, report_to_csv,
-                          report_to_json, symmetry_reduce, words_with_counts)
-from .reference import (ReferenceEntry, entry_signature, find_entry,
-                        load_reference_table, verify_entry, verify_table,
-                        write_table)
+                          SearchSpace, bound_n, bound_p, class_key, classify,
+                          enumerate_words, link_signature, orbit_canonical,
+                          report_to_csv, report_to_json, symmetry_reduce,
+                          words_with_counts)
+from .reference import (ReferenceEntry, entry_signature, load_reference_table,
+                        verify_entry, verify_table, write_table)
 
 __version__ = "0.1.0"
 
@@ -44,25 +42,24 @@ __all__ = [
     "InhomogeneousWordError", "TableDefectError",
     "ConwayPolynomial", "LaurentPolynomial", "conway_to_laurent",
     "equal_up_to_unit", "polynomial_from_json",
-    "BraidWord", "component_count", "cyclic_permute", "far_commute",
-    "is_homogeneous", "normalize_nonweak", "parse_word", "permutation",
-    "shift", "split_factors", "weak_indices", "word_from_json",
-    "word_to_json",
-    "SkeinStep", "complexity", "complexity_less", "conway_skein",
-    "degree_and_leading", "reduction_step",
+    "BraidWord", "component_count", "is_homogeneous", "normalize_nonweak",
+    "parse_word", "permutation", "shift", "split_factors", "weak_indices",
+    "word_from_json", "word_to_json",
+    "SkeinStep", "complexity", "conway_skein", "degree_and_leading",
+    "reduction_step",
     "BraidedSurface", "SeifertMatrix", "alexander_from_seifert",
     "build_surface", "conway_from_seifert", "decompose_murasugi",
-    "knot_genus", "seifert_matrix", "surface_conway",
+    "knot_genus", "seifert_matrix",
     "JONES_LENGTH_CAP", "jones_kauffman", "jones_polynomial",
     "alexander_via_burau", "unreduced_burau",
     "HomologyAction", "action_of_word", "char_poly", "homology_action",
     "matrix_order", "monodromy_from_seifert", "monodromy_order_bound",
     "twist_sequence",
     "ClassificationReport", "LinkClass", "LinkSignature", "SearchSpace",
-    "bound_n", "bound_p", "check_membership", "class_key", "classify",
-    "enumerate_words", "link_signature", "orbit_canonical", "report_to_csv",
-    "report_to_json", "symmetry_reduce", "words_with_counts",
-    "ReferenceEntry", "entry_signature", "find_entry",
-    "load_reference_table", "verify_entry", "verify_table", "write_table",
+    "bound_n", "bound_p", "class_key", "classify", "enumerate_words",
+    "link_signature", "orbit_canonical", "report_to_csv", "report_to_json",
+    "symmetry_reduce", "words_with_counts",
+    "ReferenceEntry", "entry_signature", "load_reference_table",
+    "verify_entry", "verify_table", "write_table",
     "__version__",
 ]

@@ -9,13 +9,47 @@ its first n-1 rows and columns, with no strand-sum reduction and no
 polynomial division. For knots the output pins the Conway normalization
 exactly; for links the overall sign is not observable from the
 determinant, so values are symmetric up to that sign.
+
+The product runs on integers: each row holds t^k U at t = 2^B, with k the
+number of inverse letters. Evaluation is a ring map, so t is a left shift
+by B bits, and the factor t^k keeps every entry a polynomial: before the
+j-th inverse letter each entry is a multiple of t^(k-j+1), so its 1/t is
+an exact right shift. B need only let `unpack` read the digits back. The
+l1 norms L of a row's entries obey (L_i, L_i+1) -> (2L_i + L_i+1, L_i)
+for sigma_i and (L_i+1, L_i + 2L_i+1) for its inverse, which bounds every
+coefficient of U, and one unit more bounds those of I - U.
 """
 
 from __future__ import annotations
 
-from .polynomials import (LaurentPolynomial, ONE, add, alexander_sign, det,
-                          eshift, neg, sub)
+from .polynomials import LaurentPolynomial, alexander_sign, det, unpack
 from .words import BraidWord
+
+
+def _packed_rows(w: BraidWord, count: int):
+    """(rows, B, k): the first `count` rows of t^k U at t = 2^B; each row
+    evolves on its own under right multiplication."""
+    n, letters = w.strands, w.letters
+    k = sum(x < 0 for x in letters)
+    bounds = [[int(r == c) for c in range(n)] for r in range(count)]
+    for x in letters:
+        i = abs(x) - 1
+        for L in bounds:
+            a, b = L[i], L[i + 1]
+            L[i], L[i + 1] = (2 * a + b, a) if x > 0 else (b, a + 2 * b)
+    B = (max(map(max, bounds), default=0) + 1).bit_length() + 1
+    rows = [[(r == c) << B * k for c in range(n)] for r in range(count)]
+    for x in letters:
+        i = abs(x) - 1
+        for row in rows:
+            a, b = row[i], row[i + 1]
+            if x > 0:
+                ta = a << B
+                row[i], row[i + 1] = a - ta + b, ta
+            else:
+                b_t = b >> B
+                row[i], row[i + 1] = b_t, a + b - b_t
+    return rows, B, k
 
 
 def unreduced_burau(w: BraidWord):
@@ -25,19 +59,8 @@ def unreduced_burau(w: BraidWord):
     i+1 of each row, (a, b) -> ((1-t)a + b, t*a) for sigma_i and
     (a, b) -> (b/t, a + (1 - 1/t)b) for its inverse.
     """
-    n = w.strands
-    U = [[dict(ONE) if r == c else {} for c in range(n)] for r in range(n)]
-    for x in w.letters:
-        i = abs(x) - 1
-        for row in U:
-            a, b = row[i], row[i + 1]
-            if x > 0:
-                ta = eshift(a, 1)
-                row[i], row[i + 1] = add(sub(a, ta), b), ta
-            else:
-                b_t = eshift(b, -1)
-                row[i], row[i + 1] = b_t, add(a, sub(b, b_t))
-    return U
+    rows, B, k = _packed_rows(w, w.strands)
+    return [[unpack(v, B, -k) for v in row] for row in rows]
 
 
 def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
@@ -51,9 +74,10 @@ def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
     polynomial times a unit +-t^k.
     """
     n = w.strands
-    U = unreduced_burau(w)
-    d = det([[sub(ONE, U[i][j]) if i == j else neg(U[i][j])
-              for j in range(n - 1)] for i in range(n - 1)])
+    rows, B, k = _packed_rows(w, n - 1)
+    tk = 1 << B * k
+    d = det([[unpack((tk if i == j else 0) - v, B, -k)
+              for j, v in enumerate(row[:-1])] for i, row in enumerate(rows)])
     if not d:
         return LaurentPolynomial.from_dict({}, scale=2)
     lo2, hi2 = 2 * min(d), 2 * max(d)

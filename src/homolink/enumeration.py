@@ -43,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError
-from .reference import (LinkSignature, entry_signature, link_signature,
-                        signature_index)
+from .reference import LinkSignature, link_signature, signature_index
 from .words import (BraidWord, component_count, generator_signs,
                     require_connected, require_homogeneous, word_text,
                     word_to_json)
@@ -338,22 +337,6 @@ def bound_n(g: int) -> int:
     if g < 0:
         raise ValueError(f"genus must be non-negative, got {g}")
     return bound_p(2 * g)
-
-
-def check_membership(entry, space: SearchSpace) -> bool:
-    """Is the reference link among the space's classes?
-
-    Absence is evidence of non-membership in the braid-positional sense:
-    for genus spaces, a verified fibred knot signature missing from the
-    table means no homogeneous word of that genus closes to it.
-    """
-    if not entry.verified:
-        raise ValueError(
-            f"reference entry {entry.name} is unverified; verify the table "
-            "before membership tests")
-    sig = entry_signature(entry)
-    report = classify(space)
-    return any(c.signature == sig for c in report.classes)
 
 
 # --- report serialization ---------------------------------------------------

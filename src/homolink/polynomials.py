@@ -14,7 +14,7 @@ printable. Determinants are exact (no floats anywhere) and all run on one
 integer elimination, `bareiss`. The small matrix layer next to it
 (`transpose`, `matmul`, `identity` on integer tuples, and `pencil_det` for
 det(sum t^e * A) over integer matrices A) is the only matrix code in the
-package.
+package. `unpack` is the one digit reader of polynomials packed at t = 2^B.
 """
 
 from __future__ import annotations
@@ -96,10 +96,29 @@ def bareiss(rows):
     return prev
 
 
+def unpack(d, B, e):
+    """The Laurent dict whose coefficients are the balanced base-2^B digits
+    of the integer d, the lowest at exponent e: the inverse of evaluating a
+    polynomial at t = 2^B, exact when every coefficient has absolute value
+    below 2^(B-1). The package's one digit reader."""
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    out = {}
+    if d:  # the zero digits below the lowest term go in one shift
+        z = ((d & -d).bit_length() - 1) // B
+        d, e = d >> B * z, e + z
+    while d:
+        c = ((d + half) & mask) - half
+        if c:
+            out[e] = c
+        d = (d - c) >> B
+        e += 1
+    return out
+
+
 def det(M):
     """Exact determinant of a square matrix of Laurent dicts, by Kronecker
     substitution onto `bareiss`: rows shifted to non-negative exponents,
-    entries packed as the sum of c * 2^(B*e), digits read back balanced.
+    entries packed as the sum of c * 2^(B*e), digits read back by `unpack`.
     A coefficient is a Fourier coefficient of det M(e^(i*t)), so at most
     max_t |det M(e^(i*t))|. Hadamard's inequality bounds that by the product
     of the rows' Euclidean norms, and |M_rc(e^(i*t))| <= l1(M_rc), the sum
@@ -111,27 +130,32 @@ def det(M):
     squares = 1
     for row in M:
         squares *= sum(sum(map(abs, ent.values())) ** 2 for ent in row if ent)
-    bound = isqrt(squares)
-    B = bound.bit_length() + 1
+    B = isqrt(squares).bit_length() + 1
     d = bareiss([[sum(c << B * (e - s) for e, c in ent.items()) for ent in row]
                  for row, s in zip(M, shifts)])
-    half, mask = 1 << (B - 1), (1 << B) - 1
-    out, e = {}, sum(shifts)
-    while d:
-        c = ((d + half) & mask) - half
-        if c:
-            out[e] = c
-        d = (d - c) >> B
-        e += 1
-    return out
+    return unpack(d, B, sum(shifts))
 
 
 def pencil_det(terms):
     """det(sum t^e * A) as a Laurent dict, over (e, A) pairs with distinct e
-    and integer k x k matrices A."""
+    and integer k x k matrices A. Entries are packed at t = 2^B straight
+    from the integers, under `det`'s bound: the l1 norm of entry (r, c) is
+    the sum over the terms of |A[r][c]|."""
     k = len(terms[0][1])
-    return det([[{e: A[r][c] for e, A in terms if A[r][c]} for c in range(k)]
-                for r in range(k)])
+    lo = min(e for e, _ in terms)
+    l1 = [[0] * k for _ in range(k)]
+    for _, A in terms:
+        l1 = [[x + abs(v) for x, v in zip(row, a)] for row, a in zip(l1, A)]
+    squares = 1
+    for row in l1:
+        squares *= sum(x * x for x in row)
+    B = isqrt(squares).bit_length() + 1
+    rows = [[0] * k for _ in range(k)]
+    for e, A in terms:
+        s = B * (e - lo)
+        rows = [[x + (v << s) for x, v in zip(row, a)]
+                for row, a in zip(rows, A)]
+    return unpack(bareiss(rows), B, k * lo)
 
 
 def transpose(A):

@@ -231,9 +231,3 @@ def verify_table(entries):
                        f"({detail})")
     return out, details
 
-
-def find_entry(name: str) -> ReferenceEntry:
-    for entry in load_reference_table():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no reference entry named {name!r}")

@@ -20,6 +20,7 @@ connected word with n <= 4, m <= 8, and against Burau on mixed-sign words
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
                           pencil_det, transpose, z_extract)
@@ -68,6 +69,15 @@ class SeifertMatrix:
         k = len(V)
         return tuple(tuple(V[a][b] - V[b][a] for b in range(k))
                      for a in range(k))
+
+    @cached_property
+    def symmetrized_det(self) -> LaurentPolynomial:
+        """det(x*V - (1/x)*V^T), x = t^(1/2), so exponents at scale 2;
+        computed once, for both the Conway and the Alexander value."""
+        E = self.entries
+        negT = [[-v for v in row] for row in transpose(E)]
+        return LaurentPolynomial.from_dict(pencil_det(((1, E), (-1, negT))),
+                                           scale=2)
 
 
 def build_surface(w: BraidWord) -> BraidedSurface:
@@ -148,17 +158,10 @@ def seifert_matrix(s: BraidedSurface) -> SeifertMatrix:
     return SeifertMatrix(entries, tuple(s.basis_loops))
 
 
-def _symmetrized_det(V: SeifertMatrix):
-    """det(x*V - (1/x)*V^T) as a dict over x-exponents (x = t^(1/2))."""
-    E = V.entries
-    return pencil_det(((1, E), (-1, [[-v for v in row]
-                                     for row in transpose(E)])))
-
-
 def conway_from_seifert(V: SeifertMatrix) -> ConwayPolynomial:
-    sym = _symmetrized_det(V)
     try:
-        return ConwayPolynomial.from_dict(z_extract(sym))
+        return ConwayPolynomial.from_dict(
+            z_extract(V.symmetrized_det.as_dict()))
     except ArithmeticError as exc:
         raise RuntimeError(
             "symmetrized Seifert determinant is not a polynomial in "
@@ -171,10 +174,5 @@ def alexander_from_seifert(V: SeifertMatrix) -> LaurentPolynomial:
     Sign is fixed so the value at t = 1 is positive when nonzero (knots),
     falling back to a positive leading coefficient (links).
     """
-    return LaurentPolynomial.from_dict(alexander_sign(_symmetrized_det(V)),
-                                       scale=2)
-
-
-def surface_conway(w: BraidWord) -> ConwayPolynomial:
-    """Conway polynomial through the surface route, one call."""
-    return conway_from_seifert(seifert_matrix(build_surface(w)))
+    return LaurentPolynomial.from_dict(
+        alexander_sign(V.symmetrized_det.as_dict()), scale=2)

@@ -30,10 +30,6 @@ def complexity(w: BraidWord) -> tuple:
     return tuple(q[i] for i in range(w.strands - 1, 0, -1))
 
 
-def complexity_less(a: tuple, b: tuple) -> bool:
-    return (len(a), a) < (len(b), b)
-
-
 @dataclass(frozen=True)
 class SkeinStep:
     """One unfolding of the recursion: what was done and to whom.

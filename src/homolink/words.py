@@ -172,25 +172,6 @@ def component_count(w: BraidWord) -> int:
     return count
 
 
-def cyclic_permute(w: BraidWord, k: int) -> BraidWord:
-    """Rotate letters left by k; conjugation, so closure-preserving."""
-    if not w.letters:
-        return w
-    k %= len(w.letters)
-    return BraidWord(w.strands, w.letters[k:] + w.letters[:k])
-
-
-def far_commute(w: BraidWord, j: int) -> BraidWord:
-    """Swap letters j and j+1 (1-based); legal when their indices differ by >= 2."""
-    if not 1 <= j <= len(w.letters) - 1:
-        raise ValueError(f"position {j} out of range for length {len(w.letters)}")
-    a, b = w.letters[j - 1], w.letters[j]
-    if abs(abs(a) - abs(b)) <= 1:
-        raise ValueError(f"letters {a} and {b} do not commute")
-    letters = w.letters[:j - 1] + (b, a) + w.letters[j + 1:]
-    return BraidWord(w.strands, letters)
-
-
 def word_text(w: BraidWord) -> str:
     """The letters as whitespace-separated text, the form parse_word reads."""
     return " ".join(str(x) for x in w.letters)

@@ -10,6 +10,7 @@ from math import lcm
 
 import pytest
 
+from conftest import find_entry, surface_conway
 from homolink.enumeration import (
     SearchSpace,
     bound_n,
@@ -29,12 +30,11 @@ from homolink.monodromy import (
     twist_sequence,
 )
 from homolink.polynomials import equal_up_to_unit
-from homolink.reference import entry_signature, find_entry
+from homolink.reference import entry_signature
 from homolink.seifert import (
     alexander_from_seifert,
     build_surface,
     seifert_matrix,
-    surface_conway,
 )
 from homolink.skein import conway_skein, degree_and_leading
 from homolink.words import BraidWord

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import find_entry
 from homolink.cli import (
     EXIT_CAP,
     EXIT_DISCONNECTED,
@@ -15,7 +16,7 @@ from homolink.cli import (
     main,
 )
 from homolink.enumeration import bound_p
-from homolink.reference import entry_to_json, find_entry
+from homolink.reference import entry_to_json
 
 
 def run(capsys, *argv):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import homogeneous_connected
+from conftest import (check_membership, cyclic_permute, far_commute, find_entry,
+                      homogeneous_connected)
 from homolink.enumeration import (
     BOUND_CAP,
     CSV_COLUMNS,
@@ -12,7 +13,6 @@ from homolink.enumeration import (
     SearchSpace,
     bound_n,
     bound_p,
-    check_membership,
     class_key,
     classify,
     enumerate_words,
@@ -25,9 +25,7 @@ from homolink.enumeration import (
     words_with_counts,
 )
 from homolink.errors import CapExceededError
-from homolink.reference import find_entry
-from homolink.words import (BraidWord, connected, cyclic_permute,
-                            far_commute, is_homogeneous, parse_word,
+from homolink.words import (BraidWord, connected, is_homogeneous, parse_word,
                             weak_indices)
 
 SMALL_SPACES = ([SearchSpace(degree=k) for k in range(5)]

@@ -10,14 +10,12 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import any_words
+from conftest import any_words, cyclic_permute, far_commute
 from homolink.errors import CapExceededError
 from homolink.jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from homolink.words import (
     BraidWord,
     component_count,
-    cyclic_permute,
-    far_commute,
     parse_word,
 )
 

@@ -25,6 +25,7 @@ from homolink.polynomials import (
     sub,
     transpose,
     units_equal,
+    unpack,
     z_extract,
     z_substitute,
 )
@@ -154,6 +155,47 @@ def test_pencil_det():
     by_hand = [[clean({1: H[r][c], -1: H[c][r]}) for c in range(4)]
                for r in range(4)]
     assert pencil_det(((1, H), (-1, transpose(H)))) == det(by_hand)
+
+
+def test_unpack_reads_balanced_digits():
+    # digits lie in [-8, 8) at B = 4; the zero digits below exponent 3 and
+    # between the terms read back as absent, and a digit of -8 keeps its sign
+    value = {3: -8, 5: 7, 9: -1}
+    assert unpack(sum(c << 4 * (e - 1) for e, c in value.items()), 4, 1) == value
+    assert unpack(0, 4, 1) == {}
+
+
+@st.composite
+def integer_pencils(draw):
+    """(e, A) terms with distinct e, k <= 6, entries up to +-10^6, and a
+    row that is zero in every term drawn now and then."""
+    k = draw(st.integers(0, 6))
+    exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3,
+                         unique=True))
+    entry = st.integers(-10**6, 10**6)
+    zero = draw(st.sets(st.integers(0, 5), max_size=1))
+    return [(e, [[0] * k if r in zero else
+                 draw(st.lists(entry, min_size=k, max_size=k))
+                 for r in range(k)]) for e in exps]
+
+
+@given(integer_pencils())
+def test_pencil_det_matches_det_of_the_dict_matrix(terms):
+    k = len(terms[0][1])
+    by_dict = [[{e: A[r][c] for e, A in terms if A[r][c]} for c in range(k)]
+               for r in range(k)]
+    assert pencil_det(terms) == det(by_dict)
+
+
+def test_pencil_det_reaches_the_coefficient_bound():
+    # one monomial per row: the row bound is |c|, the product 255 = 2^8 - 1
+    # needs every bit of the digit below its sign, and the sign is negative
+    def diag(*v):
+        return [[v[r] if r == c else 0 for c in range(3)] for r in range(3)]
+
+    assert pencil_det(((1, diag(-3, 0, 17)), (0, diag(0, 5, 0)))) == {2: -255}
+    assert pencil_det(((2, diag(-15, 0, 17)), (-1, diag(0, -1, 0)))) == {
+        3: 255}
 
 
 def test_bareiss_determinant_and_solve():

@@ -5,13 +5,13 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import find_entry
 from homolink.enumeration import SearchSpace, classify
 from homolink.errors import TableDefectError
 from homolink.polynomials import LaurentPolynomial
 from homolink.reference import (
     entry_signature,
     entry_to_json,
-    find_entry,
     load_reference_table,
     parse_entry,
     table_rows,

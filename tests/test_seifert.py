@@ -5,10 +5,12 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import any_words, homogeneous_connected
+from conftest import any_words, homogeneous_connected, surface_conway
 from homolink.burau import alexander_via_burau
 from homolink.errors import DisconnectedWordError, InhomogeneousWordError
-from homolink.polynomials import LaurentPolynomial, det, equal_up_to_unit
+from homolink import seifert
+from homolink.polynomials import (LaurentPolynomial, det, equal_up_to_unit,
+                                  pencil_det)
 from homolink.seifert import (
     SeifertMatrix,
     alexander_from_seifert,
@@ -17,7 +19,6 @@ from homolink.seifert import (
     decompose_murasugi,
     knot_genus,
     seifert_matrix,
-    surface_conway,
 )
 from homolink.skein import conway_skein
 from homolink.words import BraidWord, component_count, connected, parse_word
@@ -90,6 +91,33 @@ def test_conway_from_fixed_matrices():
     assert conway_from_seifert(V).as_dict() == {2: 1, 0: 1}
     W = SeifertMatrix(((-1, 1), (0, 1)), loops)
     assert conway_from_seifert(W).as_dict() == {2: -1, 0: 1}
+
+
+def test_symmetrized_det_computed_once(monkeypatch):
+    calls = []
+
+    def counting(terms):
+        calls.append(terms)
+        return pencil_det(terms)
+
+    monkeypatch.setattr(seifert, "pencil_det", counting)
+    V = seifert_matrix(build_surface(parse_word("1 -2 1 -2")))
+    conway_from_seifert(V)
+    alexander_from_seifert(V)
+    assert len(calls) == 1
+
+
+def test_symmetrized_det_cache_is_not_shared_mutable_state():
+    V = seifert_matrix(build_surface(parse_word("1 1 1")))
+    sym = V.symmetrized_det.as_dict()
+    sym[0] = 99
+    conway = conway_from_seifert(V).as_dict()
+    conway.clear()
+    alex = alexander_from_seifert(V).as_dict()
+    alex.clear()
+    assert V.symmetrized_det.as_dict() == {2: 1, 0: -1, -2: 1}
+    assert conway_from_seifert(V).as_dict() == {2: 1, 0: 1}
+    assert alexander_from_seifert(V).as_dict() == {2: 1, 0: -1, -2: 1}
 
 
 def test_alexander_values():

@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import any_words, homogeneous_connected
+from conftest import (any_words, complexity_less, cyclic_permute,
+                      homogeneous_connected)
 from homolink.errors import DisconnectedWordError, InhomogeneousWordError
 from homolink.skein import (
     SkeinStep,
     complexity,
-    complexity_less,
     conway_skein,
     degree_and_leading,
     reduction_step,
@@ -17,7 +17,6 @@ from homolink.seifert import knot_genus
 from homolink.words import (
     BraidWord,
     component_count,
-    cyclic_permute,
     is_homogeneous,
     normalize_nonweak,
     parse_word,

@@ -3,16 +3,17 @@ from hypothesis import given, settings, strategies as st
 
 from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
                       InhomogeneousWordError, build_surface, class_key,
-                      component_count, conway_skein, cyclic_permute,
+                      component_count, conway_skein,
                       decompose_murasugi, degree_and_leading,
-                      far_commute, is_homogeneous,
+                      is_homogeneous,
                       knot_genus, normalize_nonweak, parse_word, permutation,
                       reduction_step, seifert_matrix, shift, split_factors,
-                      surface_conway, twist_sequence, weak_indices,
+                      twist_sequence, weak_indices,
                       word_from_json, word_to_json)
 from homolink.words import connected, generator_signs, letter_counts
 
-from conftest import any_words, homogeneous_connected
+from conftest import (any_words, cyclic_permute, far_commute,
+                      homogeneous_connected, surface_conway)
 
 
 def test_parse_defaults_strands():
