@@ -17,11 +17,10 @@ from .polynomials import (ConwayPolynomial, LaurentPolynomial,
 from .words import (BraidWord, component_count, is_homogeneous,
                     normalize_nonweak, parse_word, permutation, shift,
                     split_factors, weak_indices, word_from_json, word_to_json)
-from .skein import (SkeinStep, complexity, conway_skein, degree_and_leading,
+from .skein import (complexity, conway_skein, degree_and_leading,
                     reduction_step)
 from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
-                      build_surface, conway_from_seifert, decompose_murasugi,
-                      knot_genus, seifert_matrix)
+                      build_surface, conway_from_seifert, seifert_matrix)
 from .jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from .burau import alexander_via_burau, unreduced_burau
 from .monodromy import (HomologyAction, action_of_word, char_poly,
@@ -33,7 +32,7 @@ from .enumeration import (ClassificationReport, LinkClass, LinkSignature,
                           report_to_csv, report_to_json, symmetry_reduce,
                           words_with_counts)
 from .reference import (ReferenceEntry, entry_signature, load_reference_table,
-                        verify_entry, verify_table, write_table)
+                        verify_entry, write_table)
 
 __version__ = "0.1.0"
 
@@ -45,11 +44,9 @@ __all__ = [
     "BraidWord", "component_count", "is_homogeneous", "normalize_nonweak",
     "parse_word", "permutation", "shift", "split_factors", "weak_indices",
     "word_from_json", "word_to_json",
-    "SkeinStep", "complexity", "conway_skein", "degree_and_leading",
-    "reduction_step",
+    "complexity", "conway_skein", "degree_and_leading", "reduction_step",
     "BraidedSurface", "SeifertMatrix", "alexander_from_seifert",
-    "build_surface", "conway_from_seifert", "decompose_murasugi",
-    "knot_genus", "seifert_matrix",
+    "build_surface", "conway_from_seifert", "seifert_matrix",
     "JONES_LENGTH_CAP", "jones_kauffman", "jones_polynomial",
     "alexander_via_burau", "unreduced_burau",
     "HomologyAction", "action_of_word", "char_poly", "homology_action",
@@ -60,6 +57,6 @@ __all__ = [
     "link_signature", "orbit_canonical", "report_to_csv", "report_to_json",
     "symmetry_reduce", "words_with_counts",
     "ReferenceEntry", "entry_signature", "load_reference_table",
-    "verify_entry", "verify_table", "write_table",
+    "verify_entry", "write_table",
     "__version__",
 ]

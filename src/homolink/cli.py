@@ -32,15 +32,15 @@ from .jones import JONES_LENGTH_CAP, jones_polynomial
 from .monodromy import (char_poly, homology_action, matrix_order,
                         monodromy_from_seifert, monodromy_order_bound,
                         twist_sequence)
-from .polynomials import (ConwayPolynomial, alexander_sign,
-                          conway_to_laurent, equal_up_to_unit)
-from .reference import table_rows, verify_table, write_table, write_text
+from .polynomials import ConwayPolynomial, equal_up_to_unit
+from .reference import table_rows, verify_entry, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
 from .words import (component_count, generator_signs, letter_counts,
                     normalize_nonweak, parse_word, require_connected,
-                    require_homogeneous, word_text, word_to_json)
+                    require_homogeneous, weak_indices, word_text,
+                    word_to_json)
 
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
@@ -78,7 +78,7 @@ def cmd_analyze(args) -> int:
     q = letter_counts(w.letters, w.strands)[1:]
     alpha = generator_signs(w.letters, w.strands)[1:]
     homogeneous = None not in alpha
-    weak = [i for i, c in enumerate(q, 1) if c == 1]
+    weak = sorted(weak_indices(w))
     comps = component_count(w)
     report = {
         "schema": 1,
@@ -105,14 +105,16 @@ def cmd_analyze(args) -> int:
         if comps == 1:
             report["genus"] = deg // 2
         skein = conway_skein(w)
-        surface = conway_from_seifert(seifert_matrix(build_surface(w)))
+        V = seifert_matrix(build_surface(w))
+        surface = conway_from_seifert(V)
         report["conway_skein"] = skein.to_json()
         report["conway_seifert"] = surface.to_json()
         report["routes_agree"] = skein == surface
-        seifert_alex = alexander_sign(conway_to_laurent(surface).as_dict())
-        if seifert_alex != alex.as_dict():
+        seifert_alex = alexander_from_seifert(V)
+        if seifert_alex != alex:
             raise RuntimeError(f"alexander cross-check failed on {w}: burau "
-                               f"{alex.as_dict()} != seifert {seifert_alex}")
+                               f"{alex.as_dict()} != seifert "
+                               f"{seifert_alex.as_dict()}")
 
     jones = None
     if len(w.letters) <= JONES_LENGTH_CAP:
@@ -247,18 +249,23 @@ def cmd_verify_table(args) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             rows = list(table_rows(fh.read()))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
 
-    entries, details = verify_table(
-        [row for _, row in rows if not isinstance(row, Exception)])
+    entries, lines = [], []
+    for ln, row in rows:
+        if isinstance(row, Exception):
+            lines.append(f"line {ln}: malformed entry skipped ({row})")
+            continue
+        entry, detail = verify_entry(row)
+        entries.append(entry)
+        lines.append(f"{entry.name}: {'ok' if entry.verified else 'FAIL'} "
+                     f"({detail})")
     if _write(write_table, entries, out_path):
         return EXIT_PARSE
 
-    details = iter(details)
-    for ln, row in rows:
-        _emit(f"line {ln}: malformed entry skipped ({row})"
-              if isinstance(row, Exception) else next(details))
+    for line in lines:
+        _emit(line)
     ok_count = sum(entry.verified for entry in entries)
     _emit(f"verified {ok_count}, failed {len(entries) - ok_count}, "
           f"malformed {len(rows) - len(entries)}; wrote {out_path}")

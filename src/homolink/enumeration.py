@@ -66,12 +66,8 @@ class SearchSpace:
     def __post_init__(self):
         if (self.degree is None) == (self.genus is None):
             raise ValueError("set exactly one of degree or genus")
-        if self.parameter < 0:
+        if self.conway_degree < 0:
             raise ValueError("search parameter must be non-negative")
-
-    @property
-    def parameter(self):
-        return self.degree if self.degree is not None else self.genus
 
     @property
     def conway_degree(self):
@@ -268,10 +264,6 @@ class ClassificationReport:
     space: SearchSpace
     classes: tuple
     notes: tuple = ()
-
-    @property
-    def class_count(self):
-        return len(self.classes)
 
 
 def classify(space: SearchSpace) -> ClassificationReport:

@@ -44,9 +44,6 @@ class HomologyAction:
         return matmul(matmul(transpose(M), self.intersection_form),
                       M) == self.intersection_form
 
-    def determinant(self) -> int:
-        return bareiss([list(row) for row in self.matrix])
-
 
 def twist_sequence(w: BraidWord) -> tuple:
     """Ordered Dehn twists ((i, j), sign), first-applied first.

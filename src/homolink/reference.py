@@ -219,15 +219,3 @@ def verify_entry(entry: ReferenceEntry):
         else:
             detail = "burau and seifert match published"
     return replace(entry, verified=ok), detail
-
-
-def verify_table(entries):
-    """Verify every entry; returns (new entries, detail lines)."""
-    out, details = [], []
-    for entry in entries:
-        new, detail = verify_entry(entry)
-        out.append(new)
-        details.append(f"{new.name}: {'ok' if new.verified else 'FAIL'} "
-                       f"({detail})")
-    return out, details
-

@@ -24,8 +24,7 @@ from functools import cached_property
 
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
                           pencil_det, transpose, z_extract)
-from .words import (BraidWord, component_count, generator_signs,
-                    letter_counts, require_connected, require_homogeneous)
+from .words import BraidWord, letter_counts, require_connected
 
 
 @dataclass(frozen=True)
@@ -39,17 +38,8 @@ class BraidedSurface:
     """
 
     word: BraidWord
-    disks: int
     bands: tuple
     basis_loops: tuple
-
-    @property
-    def band_count(self):
-        return len(self.bands)
-
-    @property
-    def euler_characteristic(self):
-        return self.disks - len(self.bands)
 
 
 @dataclass(frozen=True)
@@ -90,35 +80,7 @@ def build_surface(w: BraidWord) -> BraidedSurface:
     q = letter_counts(w.letters, w.strands)
     loops = tuple((i, j) for i in range(1, w.strands)
                   for j in range(1, q[i]))
-    return BraidedSurface(w, w.strands, tuple(bands), loops)
-
-
-def knot_genus(w: BraidWord) -> int:
-    """Genus of a homogeneous knot closure, (1 + m - n) / 2.
-
-    The braided surface of a homogeneous word is a fiber, hence of minimal
-    genus. An inhomogeneous word's surface need not be: 8_20 closes
-    1 1 1 -2 -1 -1 -1 -2, whose surface has genus 3 while the knot has
-    genus 2, so such words are refused.
-    """
-    if component_count(w) != 1:
-        raise ValueError(f"closure of {w} is not a knot")
-    require_homogeneous(w, "knot_genus")
-    return (1 + len(w.letters) - w.strands) // 2
-
-
-def decompose_murasugi(s: BraidedSurface) -> list:
-    """Plumbing summands, one per column: (column, sign, band count).
-
-    Summand i is the fiber of the (2, sign*count) torus link; the whole
-    surface is their iterated Murasugi sum along the shared disks.
-    """
-    w = s.word
-    require_homogeneous(w, "decompose_murasugi")
-    require_connected(w, "decompose_murasugi")
-    q = letter_counts(w.letters, w.strands)
-    sgn = generator_signs(w.letters, w.strands)
-    return [(i, sgn[i], q[i]) for i in range(1, w.strands)]
+    return BraidedSurface(w, tuple(bands), loops)
 
 
 # Calibrated linking contributions (see module docstring). Each pair is

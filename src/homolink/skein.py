@@ -17,8 +17,6 @@ is detectable on thousands of small words (first failures at n = 3, m = 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polynomials import ONE, ConwayPolynomial, add, mul
 from .words import (BraidWord, generator_signs, letter_counts, min_rotation,
                     require_connected, require_homogeneous, shift_letters)
@@ -28,24 +26,6 @@ def complexity(w: BraidWord) -> tuple:
     """Occurrence counts (q_{n-1}, ..., q_1), compared short-lex."""
     q = letter_counts(w.letters, w.strands)
     return tuple(q[i] for i in range(w.strands - 1, 0, -1))
-
-
-@dataclass(frozen=True)
-class SkeinStep:
-    """One unfolding of the recursion: what was done and to whom.
-
-    kind is one of:
-      unknot       single strand, value 1
-      split        a generator is absent, value 0
-      destabilize  a generator occurs once; child is the shifted word
-      smooth       adjacent pair with clean gap; children u and u+sigma_j
-      slide        pair straddling one like-signed lower letter; one child
-      exchange     pair straddling one opposite-signed lower letter; the
-                   four children combine as t1 + a*z*(t2 + t3) - a*z*t0
-    """
-
-    kind: str
-    children: tuple
 
 
 _memo: dict = {}
@@ -62,7 +42,14 @@ def _reduce(word, n):
     Returns (kind, terms): the skein relation as data, nabla(word) being
     the sum of coef * nabla(child) over terms, each term a (coefficient
     dict in z, (letters, n)) pair. Pure syntax; the caller decides whether
-    to evaluate or report.
+    to evaluate or report. kind is one of:
+      unknot       single strand, value 1
+      split        a generator is absent, value 0
+      destabilize  a generator occurs once; child is the shifted word
+      smooth       adjacent pair with clean gap; children u and u+sigma_j
+      slide        pair straddling one like-signed lower letter; one child
+      exchange     pair straddling one opposite-signed lower letter; the
+                   four children combine as t1 + a*z*(t2 + t3) - a*z*t0
     """
     if n == 1:
         return "unknot", ()
@@ -144,8 +131,9 @@ def conway_skein(w: BraidWord) -> ConwayPolynomial:
     return ConwayPolynomial.from_dict(_conway(w.letters, w.strands))
 
 
-def reduction_step(w: BraidWord) -> SkeinStep:
-    """Expose the reduction `conway_skein` would apply first.
+def reduction_step(w: BraidWord) -> tuple:
+    """(kind, children): the reduction `conway_skein` would apply first,
+    its children as BraidWords.
 
     Shares the dispatch with the evaluator, so a test walking steps and
     checking that every child has strictly smaller complexity exercises the
@@ -153,7 +141,7 @@ def reduction_step(w: BraidWord) -> SkeinStep:
     """
     require_homogeneous(w, "reduction_step")
     kind, terms = _reduce(w.letters, w.strands)
-    return SkeinStep(kind, tuple(BraidWord(cn, cw) for _, (cw, cn) in terms))
+    return kind, tuple(BraidWord(cn, cw) for _, (cw, cn) in terms)
 
 
 def degree_and_leading(w: BraidWord) -> tuple:

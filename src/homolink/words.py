@@ -102,14 +102,9 @@ def normalize_nonweak(w: BraidWord) -> BraidWord:
     reducible word ends as the empty word on one strand.
     """
     require_connected(w, "normalize_nonweak")
-    word, n = w.letters, w.strands
-    while True:
-        q = letter_counts(word, n)
-        wk = [i for i in range(1, n) if q[i] == 1]
-        if not wk:
-            return BraidWord(n, word)
-        word = shift_letters(word, wk[0])
-        n -= 1
+    while weak := weak_indices(w):
+        w = shift(w, min(weak))
+    return w
 
 
 def require_homogeneous(w: BraidWord, what: str) -> None:

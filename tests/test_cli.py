@@ -75,7 +75,8 @@ def test_analyze_inhomogeneous_still_reports_alexander(capsys):
 
 def test_analyze_checks_burau_alexander_against_seifert(monkeypatch):
     # on a homogeneous word the printed Alexander comes from Burau and is
-    # held equal to the Seifert route's Conway under z = t^1/2 - t^-1/2
+    # held equal to the Seifert route's, from the same symmetrized
+    # determinant as the printed Seifert Conway
     from homolink.polynomials import LaurentPolynomial
     monkeypatch.setattr("homolink.cli.alexander_via_burau",
                         lambda w: LaurentPolynomial.from_dict({0: 1}))
@@ -424,6 +425,17 @@ def test_verify_table_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify-table", str(tmp_path / "nope.jsonl"))
     assert code == EXIT_PARSE
     assert "cannot read" in err
+
+
+def test_verify_table_file_not_utf8(tmp_path, capsys):
+    table = tmp_path / "utf16.jsonl"
+    table.write_bytes(b"\xff\xfe" + "{}\n".encode("utf-16-le"))
+    code, out, err = run(capsys, "verify-table", str(table))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"cannot read {table}: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["utf16.jsonl"]
 
 
 def test_bounds(capsys):

@@ -40,11 +40,11 @@ def test_search_space_validation():
     with pytest.raises(ValueError):
         SearchSpace(degree=-1)
     s = SearchSpace(degree=3)
-    assert s.parameter == 3 and not s.knots_only
+    assert s.degree == 3 and not s.knots_only
     assert list(s.strand_range()) == [2, 3, 4]
     assert s.length_for(3) == 5
     g = SearchSpace(genus=2)
-    assert g.parameter == 2 and g.knots_only and g.conway_degree == 4
+    assert g.genus == 2 and g.knots_only and g.conway_degree == 4
     assert list(g.strand_range()) == [2, 3, 4, 5]
     assert g.length_for(2) == 5
 
@@ -106,7 +106,7 @@ def test_candidates_meet_every_orbit(space):
             == symmetry_reduce(enumerate_words(space)))
     for w in candidates:
         n, m = w.strands, len(w.letters)
-        if space.parameter == 0:
+        if space.conway_degree == 0:
             assert w == BraidWord(1, ())
             continue
         assert n in space.strand_range() and m == space.length_for(n)
@@ -243,7 +243,7 @@ def test_genus_space_signs_only_knot_classes(monkeypatch):
     monkeypatch.setattr(enumeration, "link_signature", counted)
     report = classify(SearchSpace(genus=2))
     assert len(calls) == 30
-    assert report.class_count == 10
+    assert len(report.classes) == 10
     assert sum(c.size for c in report.classes) == 131
     calls.clear()
     classify(SearchSpace(genus=1))
@@ -351,7 +351,7 @@ def test_signature_degree_readoff():
 def test_classify_degree_two():
     report = classify(SearchSpace(degree=2))
     assert isinstance(report, ClassificationReport)
-    assert report.class_count == 3
+    assert len(report.classes) == 3
     got = {(c.representative.strands, c.representative.letters,
             c.matched, c.size) for c in report.classes}
     assert got == {
@@ -364,7 +364,7 @@ def test_classify_degree_two():
 
 def test_classify_genus_one():
     report = classify(SearchSpace(genus=1))
-    assert report.class_count == 2
+    assert len(report.classes) == 2
     assert {c.matched for c in report.classes} == {"3_1", "4_1"}
     # knots only: every class has one component
     assert all(c.signature.component_count == 1 for c in report.classes)

@@ -16,7 +16,6 @@ from homolink.reference import (
     parse_entry,
     table_rows,
     verify_entry,
-    verify_table,
     write_table,
 )
 from homolink.words import BraidWord, parse_word
@@ -36,13 +35,13 @@ def test_table_contents(reference_entries):
 
 
 def test_every_entry_verifies(reference_entries):
-    new, details = verify_table(reference_entries)
-    bad = [d for e, d in zip(new, details) if not e.verified]
+    results = [verify_entry(e) for e in reference_entries]
+    bad = [(e.name, d) for e, d in results if not e.verified]
     assert not bad, bad
-    assert len(details) == 22
+    assert len(results) == 22
     # no entry rests on one route
-    assert all(d.endswith("(burau and seifert match published)")
-               for d in details), details
+    assert all(d == "burau and seifert match published"
+               for _, d in results), results
 
 
 def test_verify_entry_detail_mentions_both_routes():

@@ -1,14 +1,14 @@
 """Surface route: disks-and-bands data, Seifert matrices, Alexander values."""
 
 import itertools
+import json
 
-import pytest
 from hypothesis import assume, given, settings
 
 from conftest import any_words, homogeneous_connected, surface_conway
 from homolink.burau import alexander_via_burau
-from homolink.errors import DisconnectedWordError, InhomogeneousWordError
 from homolink import seifert
+from homolink.cli import main
 from homolink.polynomials import (LaurentPolynomial, det, equal_up_to_unit,
                                   pencil_det)
 from homolink.seifert import (
@@ -16,8 +16,6 @@ from homolink.seifert import (
     alexander_from_seifert,
     build_surface,
     conway_from_seifert,
-    decompose_murasugi,
-    knot_genus,
     seifert_matrix,
 )
 from homolink.skein import conway_skein
@@ -26,50 +24,41 @@ from homolink.words import BraidWord, component_count, connected, parse_word
 
 def test_surface_shape_trefoil():
     s = build_surface(parse_word("1 1 1"))
-    assert s.disks == 2
-    assert s.band_count == 3
-    assert s.euler_characteristic == -1
+    assert s.word.strands == 2
+    assert len(s.bands) == 3
     assert s.bands == ((1, 1, 1), (1, 2, 1), (1, 3, 1))
     assert set(s.basis_loops) == {(1, 1), (1, 2)}
-    assert knot_genus(s.word) == 1
 
 
 def test_surface_shape_figure_eight():
     s = build_surface(parse_word("1 -2 1 -2"))
-    assert s.disks == 3
-    assert s.band_count == 4
-    assert s.euler_characteristic == -1
+    assert s.word.strands == 3
+    assert len(s.bands) == 4
     assert s.bands == ((1, 1, 1), (2, 1, -1), (1, 2, 1), (2, 2, -1))
     assert set(s.basis_loops) == {(1, 1), (2, 1)}
 
 
 def test_surface_shape_empty():
     s = build_surface(BraidWord(1, ()))
-    assert s.disks == 1
-    assert s.band_count == 0
-    assert s.euler_characteristic == 1
+    assert s.word.strands == 1
+    assert s.bands == ()
     assert s.basis_loops == ()
 
 
-def test_knot_genus_rejects_links():
-    with pytest.raises(ValueError):
-        knot_genus(parse_word("1 1"))
-
-
-def test_decompose_examples():
-    assert decompose_murasugi(build_surface(parse_word("1 1 2 2"))) == [
-        (1, 1, 2), (2, 1, 2)]
-    assert decompose_murasugi(build_surface(parse_word("1 1 -2 -2"))) == [
-        (1, 1, 2), (2, -1, 2)]
-    assert decompose_murasugi(build_surface(parse_word("1 1 1 1 1"))) == [
-        (1, 1, 5)]
-
-
-def test_decompose_requires_connected():
-    with pytest.raises(DisconnectedWordError):
-        decompose_murasugi(build_surface(parse_word("1 1", strands=3)))
-    with pytest.raises(InhomogeneousWordError):
-        decompose_murasugi(build_surface(parse_word("1 -1")))
+def test_decompose_examples(capsys):
+    # the fiber is the Murasugi sum of one (2, q_i) torus-link fiber per
+    # column i: its q_i bands, all of sign alpha(i), which analyze prints
+    # as its q and alpha lines
+    for text, q, alpha in [("1 1 2 2", [2, 2], [1, 1]),
+                           ("1 1 -2 -2", [2, 2], [1, -1]),
+                           ("1 1 1 1 1", [5], [1])]:
+        bands = build_surface(parse_word(text)).bands
+        assert [[s for c, _, s in bands if c == i]
+                for i in range(1, len(q) + 1)] == [
+                    [a] * k for a, k in zip(alpha, q)]
+        assert main(["analyze", text, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["q"], report["alpha"]) == (q, alpha)
 
 
 def test_seifert_matrix_trefoil():
@@ -187,16 +176,6 @@ def test_inhomogeneous_8_20():
         4: 1, 2: -2, 0: 3, -2: -2, -4: 1}
     # a loop through one positive and one negative band has no self-linking
     assert V.entries[V.loops.index((1, 3))][V.loops.index((1, 3))] == 0
-    with pytest.raises(InhomogeneousWordError):
-        decompose_murasugi(build_surface(w))
-
-
-def test_knot_genus_refuses_inhomogeneous_words():
-    # the braided surface of 8_20's word has genus 3, the knot genus 2
-    with pytest.raises(InhomogeneousWordError):
-        knot_genus(parse_word("1 1 1 -2 -1 -1 -1 -2"))
-    assert knot_genus(parse_word("1 1 1")) == 1
-    assert knot_genus(parse_word("-1 2 -1 2")) == 1
 
 
 @given(homogeneous_connected(max_n=4, max_m=7))
@@ -224,4 +203,4 @@ def test_alexander_palindromic(w):
 def test_basis_loop_count_matches_first_homology():
     for text in ["1 1 1", "1 1 2 2", "1 -2 1 -2 3 3"]:
         s = build_surface(parse_word(text))
-        assert len(s.basis_loops) == 1 - s.euler_characteristic
+        assert len(s.basis_loops) == 1 - (s.word.strands - len(s.bands))

@@ -3,10 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
                       InhomogeneousWordError, build_surface, class_key,
-                      component_count, conway_skein,
-                      decompose_murasugi, degree_and_leading,
-                      is_homogeneous,
-                      knot_genus, normalize_nonweak, parse_word, permutation,
+                      component_count, conway_skein, degree_and_leading,
+                      is_homogeneous, normalize_nonweak, parse_word,
+                      permutation,
                       reduction_step, seifert_matrix, shift, split_factors,
                       twist_sequence, weak_indices,
                       word_from_json, word_to_json)
@@ -139,14 +138,12 @@ def _surface_engine(engine):
 
 # (name, engine, refuses a split word, refuses an inhomogeneous word) for
 # every engine that refuses either; reduction_step reports a split word as
-# a step, and knot_genus refuses a link before it looks at signs
+# a step
 REFUSING_ENGINES = [
     ("normalize_nonweak", normalize_nonweak, True, False),
     ("conway_skein", conway_skein, True, True),
     ("reduction_step", reduction_step, False, True),
     ("degree_and_leading", degree_and_leading, True, True),
-    ("knot_genus", knot_genus, False, True),
-    ("decompose_murasugi", _surface_engine(decompose_murasugi), True, True),
     ("seifert_matrix", _surface_engine(seifert_matrix), True, False),
     ("twist_sequence", twist_sequence, True, True),
     ("class_key", class_key, True, True),
