@@ -6,6 +6,16 @@ negative columns contributing inverse twists. This module keeps only the
 homological shadow: the twist word itself and the induced matrix on first
 homology, plus the independent Seifert-form route V^(-1) V^T.
 
+The intersection form J = V - V^T is sparse. The basis loop (i, j) runs
+through bands j and j+1 of column i, and its span is the stretch of the
+word between them. It links only the loops (i, j-1) and (i, j+1), which
+share a band with it, and the loops of columns i-1 and i+1 whose bands
+interleave with its own. The loops of one column have disjoint spans, so
+in each neighbouring column only the loop whose span holds its first band
+and the loop whose span holds its second can interleave with it. A row of
+J therefore has at most 6 nonzero entries at any word length, and the
+twist route and the form check read only those.
+
 Conventions (transvection sign, which of V^(-1)V^T vs its inverse) were
 calibrated once on the trefoil so that the twist route, the matrix route
 and the Alexander polynomial all agree, and are frozen here. Reversing the
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .polynomials import (LaurentPolynomial, bareiss, identity, matmul,
-                          pencil_det, transpose)
+                          nonzero, pencil_det, sparse_matmul, transpose)
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
 from .words import (BraidWord, generator_signs, letter_counts,
                     require_connected, require_homogeneous)
@@ -40,9 +50,9 @@ class HomologyAction:
         return len(self.matrix)
 
     def preserves_form(self) -> bool:
-        M = self.matrix
-        return matmul(matmul(transpose(M), self.intersection_form),
-                      M) == self.intersection_form
+        """M^T J M == J, with J M formed through J's nonzero entries."""
+        M, J = self.matrix, self.intersection_form
+        return matmul(transpose(M), sparse_matmul(nonzero(J), M)) == J
 
 
 def twist_sequence(w: BraidWord) -> tuple:
@@ -75,16 +85,19 @@ def homology_action(twists, V: SeifertMatrix) -> HomologyAction:
     if {loop for loop, _ in twists} != index.keys():
         raise ValueError("twisted loops do not match the Seifert basis "
                          f"{V.loops}")
-    J = V.intersection_form()
-    k = len(J)
-    M = [list(row) for row in identity(k)]
+    J = V.intersection_form
+    # left-multiplying by T^s = I + E, E[idx][l] = eps*s*J[l][idx], changes
+    # only row idx, by the rows l where column idx of J is nonzero; l != idx
+    # because J is skew
+    cols = nonzero(transpose(J))
+    M = [list(row) for row in identity(len(J))]
     for loop, s in twists:
-        # left-multiply by T^s = I + E, E[idx][l] = eps*s*J[l][idx]; only
-        # row idx changes, and E[idx][idx] = 0 because J is skew
         idx = index[loop]
-        coef = [_EPS * s * J[l][idx] for l in range(k)]
-        M[idx] = [M[idx][c] + sum(coef[l] * M[l][c] for l in range(k))
-                  for c in range(k)]
+        row = M[idx]
+        for l, v in cols[idx]:
+            f = _EPS * s * v
+            row = [a + f * b for a, b in zip(row, M[l])]
+        M[idx] = row
     return HomologyAction(tuple(tuple(rw) for rw in M), J)
 
 
@@ -107,7 +120,7 @@ def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
             "Seifert matrix is not unimodular; fibred data cannot "
             "produce fractional monodromy entries")
     M = tuple(tuple(v // d for v in row[k:]) for row in rows)
-    return HomologyAction(M, V.intersection_form())
+    return HomologyAction(M, V.intersection_form)
 
 
 def action_of_word(w: BraidWord) -> HomologyAction:
@@ -125,11 +138,15 @@ def char_poly(action: HomologyAction) -> LaurentPolynomial:
 
 
 def matrix_order(action: HomologyAction):
-    """Least positive power equal to the identity, or None to ORDER_CAP."""
+    """Least positive power equal to the identity, or None to ORDER_CAP.
+
+    Each step is P <- M * P through the nonzero entries of M's rows; M
+    commutes with its powers, so these are the powers M^order."""
     ident = identity(action.dimension)
+    S = nonzero(action.matrix)
     P = ident
     for order in range(1, ORDER_CAP + 1):
-        P = matmul(P, action.matrix)
+        P = sparse_matmul(S, P)
         if P == ident:
             return order
     return None

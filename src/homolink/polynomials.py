@@ -12,13 +12,15 @@ All hot loops work on the raw dicts. The wrapper classes below fix the scale
 and keep a sorted coefficient tuple, so values are hashable, comparable and
 printable. Determinants are exact (no floats anywhere) and all run on one
 integer elimination, `bareiss`. The small matrix layer next to it
-(`transpose`, `matmul`, `identity` on integer tuples, and `pencil_det` for
+(`transpose`, `matmul`, `identity` on integer tuples, `nonzero` and
+`sparse_matmul` for products with a sparse left factor, and `pencil_det` for
 det(sum t^e * A) over integer matrices A) is the only matrix code in the
 package. `unpack` is the one digit reader of polynomials packed at t = 2^B.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
@@ -73,9 +75,20 @@ def bareiss(rows):
     determinant is unchanged. For rows [A | B] the columns past k end as
     det * A^(-1) B; without them, rows above the pivot are left alone, which
     keeps the zeros of banded matrices.
+
+    A row whose entry in the pivot column is 0 is left alone too, where the
+    plain update (p * a - 0 * b) // prev would only scale it by p / prev.
+    Each row r keeps div[r], the pivot of the last step that updated it or
+    pivoted on it, so the plain row is the stored one times prev / div[r].
+    Its next update divides by div[r] in place of prev, which gives the
+    plain result exactly; a pivot row, and when solving every row at the
+    end, is scaled by prev / div[r] first. On a banded matrix only the rows
+    of the band are updated, and on the unit pivots of a fibred Seifert
+    matrix most of the solve is skipped.
     """
     k = len(rows)
     solve = k and len(rows[0]) > k
+    div = [1] * k
     prev = 1
     for c in range(k):
         piv = next((r for r in range(c, k) if rows[r][c]), None)
@@ -83,16 +96,24 @@ def bareiss(rows):
             return 0
         if piv != c:
             rows[c], rows[piv] = rows[piv], [-v for v in rows[c]]
+            div[c], div[piv] = div[piv], div[c]
+        if div[c] != prev:
+            rows[c][c:] = [v * prev // div[c] for v in rows[c][c:]]
         tail = rows[c][c:]
-        p = tail[0]
+        p = div[c] = tail[0]
         for r in range(0 if solve else c + 1, k):
-            if r != c:
-                row = rows[r]
-                f = row[c]
+            row = rows[r]
+            f = row[c]
+            if f and r != c:
                 # columns left of c are never read again
-                row[c:] = [(p * a - f * b) // prev
+                row[c:] = [(p * a - f * b) // div[r]
                            for a, b in zip(row[c:], tail)]
+                div[r] = p
         prev = p
+    if solve:
+        for row, d in zip(rows, div):
+            if d != prev:
+                row[k:] = [v * prev // d for v in row[k:]]
     return prev
 
 
@@ -140,21 +161,27 @@ def pencil_det(terms):
     """det(sum t^e * A) as a Laurent dict, over (e, A) pairs with distinct e
     and integer k x k matrices A. Entries are packed at t = 2^B straight
     from the integers, under `det`'s bound: the l1 norm of entry (r, c) is
-    the sum over the terms of |A[r][c]|."""
+    the sum over the terms of |A[r][c]|. One pass over the terms collects
+    their nonzero entries and those norms; the packing reads only the
+    nonzero entries."""
     k = len(terms[0][1])
     lo = min(e for e, _ in terms)
     l1 = [[0] * k for _ in range(k)]
-    for _, A in terms:
-        l1 = [[x + abs(v) for x, v in zip(row, a)] for row, a in zip(l1, A)]
+    entries = []
+    for e, A in terms:
+        e -= lo
+        for r, (row, bound) in enumerate(zip(A, l1)):
+            for c, v in enumerate(row):
+                if v:
+                    bound[c] += abs(v)
+                    entries.append((r, c, v, e))
     squares = 1
     for row in l1:
         squares *= sum(x * x for x in row)
     B = isqrt(squares).bit_length() + 1
     rows = [[0] * k for _ in range(k)]
-    for e, A in terms:
-        s = B * (e - lo)
-        rows = [[x + (v << s) for x, v in zip(row, a)]
-                for row, a in zip(rows, A)]
+    for r, c, v, e in entries:
+        rows[r][c] += v << B * e
     return unpack(bareiss(rows), B, k * lo)
 
 
@@ -164,12 +191,31 @@ def transpose(A):
 
 def matmul(A, B):
     cols = transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
                  for row in A)
 
 
+def nonzero(A):
+    """Each row of A as its (column, value) pairs with value != 0."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in A]
+
+
+def sparse_matmul(S, B):
+    """A * B for A given as nonzero(A): row r is the sum of v * B[l] over
+    the pairs (l, v) of S[r], so the cost is the number of A's nonzero
+    entries times the width of B."""
+    k = len(B[0]) if B else 0
+    out = []
+    for pairs in S:
+        acc = [0] * k
+        for l, v in pairs:
+            acc = [a + v * b for a, b in zip(acc, B[l])]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def identity(k):
-    return tuple(tuple(int(r == c) for c in range(k)) for r in range(k))
+    return tuple((0,) * r + (1,) + (0,) * (k - r - 1) for r in range(k))
 
 
 def _zx_power(d):

@@ -19,6 +19,7 @@ connected word with n <= 4, m <= 8, and against Burau on mixed-sign words
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,12 +54,13 @@ class SeifertMatrix:
     def dimension(self):
         return len(self.entries)
 
+    @cached_property
     def intersection_form(self):
-        """J = V - V^T, the skew pairing of the basis loops."""
+        """J = V - V^T, the skew pairing of the basis loops; computed once,
+        for both the twist route and the Seifert route."""
         V = self.entries
-        k = len(V)
-        return tuple(tuple(V[a][b] - V[b][a] for b in range(k))
-                     for a in range(k))
+        return tuple(tuple(map(operator.sub, row, col))
+                     for row, col in zip(V, transpose(V)))
 
     @cached_property
     def symmetrized_det(self) -> LaurentPolynomial:
@@ -100,10 +102,14 @@ def seifert_matrix(s: BraidedSurface) -> SeifertMatrix:
     # per basis loop: its column and the word positions of its two bands
     spans = [(i, pos[i, j], pos[i, j + 1]) for i, j in s.basis_loops]
     g = len(spans)
+    by_column = {}
+    for a, span in enumerate(spans):
+        by_column.setdefault(span[0], []).append((a, span))
     V = [[0] * g for _ in range(g)]
     for a, (ia, p1, p2) in enumerate(spans):
         V[a][a] = _SELF * (eps[p1] + eps[p2]) // 2
-        for b, (ib, r1, r2) in enumerate(spans):
+        # only loops of the same column and of the next one can link
+        for b, (ib, r1, r2) in by_column[ia] + by_column.get(ia + 1, []):
             if ib == ia and r1 == p2:
                 # same column: only loops sharing a band link, and they
                 # share exactly when b starts at a's second band

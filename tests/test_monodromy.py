@@ -87,7 +87,7 @@ def test_twist_route_follows_seifert_basis(text):
     act = homology_action(twist_sequence(w), V_rev)
     assert act.matrix == tuple(tuple(M[a][b] for b in rev) for a in rev)
     assert act.matrix != M
-    assert act.intersection_form == V_rev.intersection_form()
+    assert act.intersection_form == V_rev.intersection_form
     assert act.matrix == monodromy_from_seifert(V_rev).matrix
 
 

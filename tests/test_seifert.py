@@ -65,7 +65,7 @@ def test_seifert_matrix_trefoil():
     V = seifert_matrix(build_surface(parse_word("1 1 1")))
     assert V.entries == ((1, 0), (-1, 1))
     assert V.loops == ((1, 1), (1, 2))
-    assert V.intersection_form() == ((0, 1), (-1, 0))
+    assert V.intersection_form == ((0, 1), (-1, 0))
 
 
 def test_seifert_matrix_figure_eight():
@@ -183,7 +183,7 @@ def test_inhomogeneous_8_20():
 def test_intersection_form_is_unimodular_for_knots(w):
     if component_count(w) != 1:
         return
-    J = seifert_matrix(build_surface(w)).intersection_form()
+    J = seifert_matrix(build_surface(w)).intersection_form
     d = det([[{0: v} if v else {} for v in row] for row in J])
     assert d == {0: 1}
 
