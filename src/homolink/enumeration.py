@@ -8,12 +8,14 @@ by the evident symmetries, computes one signature per far-commutation
 class of orbits, and groups orbits into link classes matched against the
 shipped reference table.
 
-Both word streams share one column-sequence backtracker. enumerate_words
-dresses every sequence with every sign choice (the raw count the paper's
-bounds speak of); orbit_candidates, which classification reduces, keeps a
-sequence only if it is least in its symmetry orbit and fixes the first
-letter's sign, so it meets every orbit while skipping almost all raw
-words (941 candidates for 45,562 raw words at degree 4).
+enumerate_words backtracks over every column sequence and dresses it
+with every sign choice (the raw count the paper's bounds speak of).
+orbit_candidates and classify start from the column sequences that are
+least in their symmetry orbit, generated directly as the necklaces
+(least among their rotations) that no reversed or flipped image
+undercuts, and fix the first letter's sign, so they meet every orbit
+while skipping almost all raw words (138 of 3,201 sequences and 941
+candidates for 45,562 raw words at degree 4).
 
 Letters whose columns differ by 2 or more commute, and that swap, across
 the wrap-around too, is a braid relation: it keeps the closure and so its
@@ -31,8 +33,11 @@ to the next one's. A far swap never exchanges two letters of one edge,
 so it keeps every projection; the aligned projections rebuild the heap,
 so distinct classes get distinct keys. The key is the least such reading
 over the starts in column 1 and the symmetries, with the sign vector in
-front. The component count is constant on a class too, so a genus search
-drops a non-knot orbit before its key and signs only knot classes.
+front. The gap vectors depend only on the unsigned sequence, so classify
+reads them once per least sequence and pairs them with each sign
+choice. The component count is also a function of the sequence and
+constant on a class, so a genus search drops a sequence whose closure is
+not a knot before any key and signs only knot classes.
 
 Signatures and the table they are matched against belong to `reference`;
 two closures with equal signatures are reported as one class.
@@ -41,6 +46,7 @@ two closures with equal signatures are reported as one class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapExceededError
 from .reference import LinkSignature, link_signature, signature_index
@@ -85,14 +91,12 @@ class SearchSpace:
 
 
 def _column_sequences(n: int, m: int):
-    """Column sequences of the connected non-weak words with exactly (n, m).
+    """Column sequences of the connected non-weak words with exactly (n, m),
+    in lex order; (1, 0) has the empty sequence.
 
     Backtracks over the column of each letter, pruning when the remaining
     slots cannot lift every column count to 2.
     """
-    if n < 2 or m < 2 * (n - 1):
-        return
-
     def fill(seq, q):
         left = m - len(seq)
         deficit = sum(max(0, 2 - q[i]) for i in range(1, n))
@@ -109,25 +113,6 @@ def _column_sequences(n: int, m: int):
     yield from fill([], [0] * n)
 
 
-def _dressed(n: int, sequences, fix_first: bool):
-    """Each column sequence with every sign choice, one sign per column;
-    fix_first keeps only the choices that make the first letter positive."""
-    signsets = [[1 if s >> i & 1 else -1 for i in range(n - 1)]
-                for s in range(1 << (n - 1))]
-    for seq in sequences:
-        for signs in signsets:
-            if not fix_first or signs[seq[0] - 1] > 0:
-                yield BraidWord(n, tuple(c * signs[c - 1] for c in seq))
-
-
-def words_with_counts(n: int, m: int):
-    """All homogeneous connected non-weak words with exactly (n, m).
-
-    Dresses each column sequence with all 2^(n-1) sign choices.
-    """
-    return _dressed(n, _column_sequences(n, m), fix_first=False)
-
-
 def _images(letters: tuple, n: int) -> tuple:
     """letters under identity, reversal, flip (column c to n - c, each
     letter keeping its sign) and flip-reversal."""
@@ -135,15 +120,79 @@ def _images(letters: tuple, n: int) -> tuple:
     return letters, letters[::-1], flip, flip[::-1]
 
 
-def _least_in_orbit(seq: tuple, n: int) -> bool:
-    """Is seq lex-least among its rotations, its reversal and its flip?"""
+def _least_sequences(n: int, m: int):
+    """The column sequences of _column_sequences(n, m) that are lex-least
+    among the rotations of their reversal, flip and flip-reversal and of
+    themselves: one per orbit, each once, in lex order.
+
+    The Fredricksen-Kessler-Maiorana recursion (Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992) extends a prenecklace a[1..t-1] of period p by
+    a[t-p], keeping p, or by a larger column, making the period t; a full
+    prenecklace is a necklace, least among its rotations, exactly when p
+    divides m, and each necklace is reached once. A prefix is cut off, the
+    full sequence included, when the slots left cannot lift every column
+    count to 2. A necklace starts with its least column, so an image beats
+    it only through a smaller column or a rotation starting at that one.
+    """
+    a = [1] * (m + 1)  # a[1..m] is the sequence; a[0] lets a[1] be any column
+    q = [0] * n        # column counts of a[1..t-1]
+
+    def extend(t, p, deficit):
+        if deficit > m - t + 1:
+            return
+        if t > m:
+            if m % p == 0:
+                seq = tuple(a[1:])
+                if _least_image(seq, n):
+                    yield seq
+            return
+        for c in range(a[t - p], n):
+            a[t] = c
+            q[c] += 1
+            yield from extend(t + 1, p if c == a[t - p] else t,
+                              deficit - (q[c] <= 2))
+            q[c] -= 1
+
+    yield from extend(1, 1, 2 * (n - 1))
+
+
+def _least_image(seq: tuple, n: int) -> bool:
+    """Has no rotation of seq's reversal, flip or flip-reversal a smaller
+    sequence than the necklace seq?"""
     m = len(seq)
-    for t in _images(seq, n):
+    for t in _images(seq, n)[1:]:
+        if m and min(t) < seq[0]:
+            return False
         tt = t + t
         for k in range(m):
-            if tt[k:k + m] < seq:
+            if t[k] == seq[0] and tt[k:k + m] < seq:
                 return False
     return True
+
+
+@lru_cache(maxsize=SEARCH_CAP + 1)
+def _sign_choices(n: int) -> tuple:
+    """The 2^(n-1) sign vectors of the columns 1..n-1."""
+    return tuple(tuple(1 if s >> i & 1 else -1 for i in range(n - 1))
+                 for s in range(1 << (n - 1)))
+
+
+def _dressed(n: int, seq: tuple, fix_first: bool):
+    """(signs, letters) for each sign choice on the column sequence seq, one
+    sign per column; fix_first keeps only the choices that make the first
+    letter positive."""
+    for signs in _sign_choices(n):
+        if not (fix_first and seq and signs[seq[0] - 1] < 0):
+            yield signs, tuple(c * signs[c - 1] for c in seq)
+
+
+def words_with_counts(n: int, m: int):
+    """All homogeneous connected non-weak words with exactly (n, m).
+
+    Dresses each column sequence with all 2^(n-1) sign choices.
+    """
+    return (BraidWord(n, letters) for seq in _column_sequences(n, m)
+            for _, letters in _dressed(n, seq, fix_first=False))
 
 
 def candidates_with_counts(n: int, m: int):
@@ -152,27 +201,22 @@ def candidates_with_counts(n: int, m: int):
     Mirror, reversal, column flip and rotation act on a word's column
     sequence through reversal, flip and rotation; the mirror fixes it and
     negates every sign. So every orbit holds a word whose sequence is
-    lex-least among those images and whose first letter is positive, and
-    only those words are generated.
+    _least_sequences' one for the orbit and whose first letter is
+    positive, and only those words are generated.
     """
-    return _dressed(n, (seq for seq in _column_sequences(n, m)
-                        if _least_in_orbit(seq, n)), fix_first=True)
+    return (BraidWord(n, letters) for seq in _least_sequences(n, m)
+            for _, letters in _dressed(n, seq, fix_first=True))
 
 
 def _space_stream(space: SearchSpace, per_length):
-    """per_length(n, m) over the space's (n, m); refuses a space over cap."""
+    """per_length(n, m) over the space's (n, m), where Conway degree 0 is
+    (1, 0), the empty word; refuses a space over cap."""
     k = space.conway_degree
     if k > SEARCH_CAP:
         raise CapExceededError(f"Conway degree {k} exceeds cap {SEARCH_CAP}")
-
-    def gen():
-        if k == 0:
-            yield BraidWord(1, ())
-            return
-        for n in space.strand_range():
-            yield from per_length(n, space.length_for(n))
-
-    return gen()
+    lengths = ([(1, 0)] if k == 0
+               else [(n, space.length_for(n)) for n in space.strand_range()])
+    return (x for n, m in lengths for x in per_length(n, m))
 
 
 def enumerate_words(space: SearchSpace):
@@ -188,14 +232,24 @@ def orbit_candidates(space: SearchSpace):
 # --- symmetry reduction ----------------------------------------------------
 
 def orbit_canonical(w: BraidWord) -> tuple:
-    """Lex-min letters over mirror, reversal, column flip and rotation."""
-    m = len(w.letters)
-    mirror = tuple(-x for x in w.letters)
-    return min(t[k:] + t[:k] for s in (w.letters, mirror)
-               for t in _images(s, w.strands) for k in range(max(m, 1)))
+    """Lex-min letters over mirror, reversal, column flip and rotation.
+
+    The least of all those rotations starts with the least letter of the
+    eight images, so only the rotations starting there are compared.
+    """
+    letters, n = w.letters, w.strands
+    if not letters:
+        return letters
+    images = (_images(letters, n)
+              + _images(tuple(-x for x in letters), n))
+    low = min(map(min, images))
+    return min(t[k:] + t[:k] for t in images
+               for k, x in enumerate(t) if x == low)
 
 
 def symmetry_reduce(words) -> list:
+    """One word per orbit, its orbit_canonical letters, sorted by
+    (strands, letters)."""
     reps = {}
     for w in words:
         key = (w.strands, orbit_canonical(w))
@@ -231,6 +285,22 @@ def _gap_key(cols, n):
     return min(map(aligned, range(count[1])), default=())
 
 
+def _sequence_gaps(cols: tuple, n: int) -> tuple:
+    """The least _gap_key of the unflipped images of cols (identity and
+    reversal) and of the flipped ones (flip and flip-reversal)."""
+    flip = tuple(n - c for c in cols)
+    return (min(_gap_key(cols, n), _gap_key(cols[::-1], n)),
+            min(_gap_key(flip, n), _gap_key(flip[::-1], n)))
+
+
+def _class_key(signs: tuple, m: int, gaps: tuple) -> tuple:
+    """class_key from the column signs, the length and _sequence_gaps: a
+    flip reverses the sign vector and the mirror negates it."""
+    flipped = signs[::-1]
+    return min((min(signs, tuple(-x for x in signs)), m, gaps[0]),
+               (min(flipped, tuple(-x for x in flipped)), m, gaps[1]))
+
+
 def class_key(w: BraidWord) -> tuple:
     """Key of w's class under rotation, far commutation and the symmetries.
 
@@ -242,11 +312,8 @@ def class_key(w: BraidWord) -> tuple:
     require_homogeneous(w, "class_key")
     n = w.strands
     cols = tuple(abs(x) for x in w.letters)
-    signs = tuple(generator_signs(w.letters, n)[1:])
-    flip = tuple(n - c for c in cols)
-    return min((min(s, tuple(-x for x in s)), len(cols), _gap_key(t, n))
-               for t, s in ((cols, signs), (cols[::-1], signs),
-                            (flip, signs[::-1]), (flip[::-1], signs[::-1])))
+    return _class_key(tuple(generator_signs(w.letters, n)[1:]), len(cols),
+                      _sequence_gaps(cols, n))
 
 
 # --- classification --------------------------------------------------------
@@ -271,25 +338,45 @@ def classify(space: SearchSpace) -> ClassificationReport:
 
     The table index (reference.signature_index) is built once the space
     has passed its cap and before any word is generated, so a defective
-    table is refused before the search runs. Then one pass over the
-    orbits, which symmetry_reduce sorts by (strands, letters); a genus
-    space drops non-knot orbits first. Each far-commutation class gets one
-    signature, computed and checked against the space's Conway degree on
-    its first orbit and shared by all of its orbits. A group's first orbit
-    is its representative, so groups come out in representative order.
+    table is refused before the search runs. Each least column sequence
+    is walked once: a genus space drops it when its closure is not a
+    knot, and its gap keys are read once for all of its sign choices.
+    Each choice with a positive first letter is an orbit, named by its
+    orbit_canonical letters, unless an earlier choice of the same sequence
+    reached that orbit (no other sequence can). The orbits are then sorted
+    by (strands, letters), as symmetry_reduce sorts them. Each
+    far-commutation class gets one signature, computed and checked
+    against the space's Conway degree on its first orbit and shared by all
+    of its orbits. A group's first orbit is its representative, so groups
+    come out in representative order.
     """
-    words = orbit_candidates(space)
+    sequences = _space_stream(
+        space, lambda n, m: ((n, seq) for seq in _least_sequences(n, m)))
     by_sig, notes = signature_index()
     expected = space.conway_degree
+    class_of = {}  # class key -> class index
+    orbits = []    # (strands, canonical letters, class index)
+    for n, seq in sequences:
+        if space.knots_only and component_count(BraidWord(n, seq)) != 1:
+            continue
+        gaps = _sequence_gaps(seq, n)
+        seen = set()
+        for signs, letters in _dressed(n, seq, fix_first=True):
+            canon = orbit_canonical(BraidWord(n, letters))
+            if canon not in seen:
+                seen.add(canon)
+                key = _class_key(signs, len(seq), gaps)
+                orbits.append((n, canon,
+                               class_of.setdefault(key, len(class_of))))
+    orbits.sort()
+
     sig_of = {}
     groups = {}    # signature -> [first orbit, orbit count]
-    for w in symmetry_reduce(words):
-        if space.knots_only and component_count(w) != 1:
-            continue
-        key = class_key(w)
-        sig = sig_of.get(key)
+    for n, canon, cls in orbits:
+        w = BraidWord(n, canon)
+        sig = sig_of.get(cls)
         if sig is None:
-            sig = sig_of[key] = link_signature(w)
+            sig = sig_of[cls] = link_signature(w)
             if sig.conway_degree != expected:
                 raise RuntimeError(f"degree cross-check failed on {w}: "
                                    f"{sig.conway_degree} != {expected}")

@@ -130,11 +130,17 @@ def action_of_word(w: BraidWord) -> HomologyAction:
 
 
 def char_poly(action: HomologyAction) -> LaurentPolynomial:
-    """det(tI - M), integer t-exponents (scale 1)."""
-    M = action.matrix
-    negM = [[-v for v in row] for row in M]
+    """det(tI - M), integer t-exponents (scale 1).
+
+    The pencil is eliminated in reverse basis order, a simultaneous
+    permutation of rows and columns that leaves the determinant unchanged.
+    The twist matrix of sigma_1^q has about two nonzeros per row, but its
+    first column is full, so eliminating that column first fills every
+    row; taken last, it meets rows already reduced.
+    """
+    negM = [[-v for v in row[::-1]] for row in action.matrix[::-1]]
     return LaurentPolynomial.from_dict(
-        pencil_det(((1, identity(len(M))), (0, negM))), scale=1)
+        pencil_det(((1, identity(len(negM))), (0, negM))), scale=1)
 
 
 def matrix_order(action: HomologyAction):

@@ -20,7 +20,7 @@ connected word with n <= 4, m <= 8, and against Burau on mixed-sign words
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
@@ -45,10 +45,15 @@ class BraidedSurface:
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """Integer Seifert matrix indexed by the surface's basis loops."""
+    """Integer Seifert matrix indexed by the surface's basis loops.
+
+    band_order lists the loop indices by the word position of each loop's
+    first band; empty means the basis order. Only symmetrized_det reads it.
+    """
 
     entries: tuple
     loops: tuple
+    band_order: tuple = field(default=(), compare=False)
 
     @property
     def dimension(self):
@@ -65,9 +70,18 @@ class SeifertMatrix:
     @cached_property
     def symmetrized_det(self) -> LaurentPolynomial:
         """det(x*V - (1/x)*V^T), x = t^(1/2), so exponents at scale 2;
-        computed once, for both the Conway and the Alexander value."""
-        E = self.entries
-        negT = [[-v for v in row] for row in transpose(E)]
+        computed once, for both the Conway and the Alexander value.
+
+        The pencil is eliminated in band_order, a simultaneous permutation
+        of rows and columns that leaves the determinant unchanged. Only
+        loops whose spans meet link, so in that order V is banded (width 2
+        on (1 -2)^r, where the basis order has width about k/2) and the
+        elimination updates only the rows of the band.
+        """
+        V = self.entries
+        order = self.band_order or range(self.dimension)
+        E = [[V[a][b] for b in order] for a in order]
+        negT = [[-V[b][a] for b in order] for a in order]
         return LaurentPolynomial.from_dict(pencil_det(((1, E), (-1, negT))),
                                            scale=2)
 
@@ -123,7 +137,8 @@ def seifert_matrix(s: BraidedSurface) -> SeifertMatrix:
             V[a][b] += pr[0]
             V[b][a] += pr[1]
     entries = tuple(tuple(row) for row in V)
-    return SeifertMatrix(entries, tuple(s.basis_loops))
+    order = tuple(sorted(range(g), key=lambda a: spans[a][1]))
+    return SeifertMatrix(entries, tuple(s.basis_loops), order)
 
 
 def conway_from_seifert(V: SeifertMatrix) -> ConwayPolynomial:

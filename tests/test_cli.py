@@ -223,6 +223,14 @@ def test_enumerate_json_golden(capsys, mode, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_enumerate_degree_five_text_golden(capsys):
+    # the largest space under the cap, pinned byte for byte
+    code, out, _ = run(capsys, "enumerate", "--degree", "5")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "75a98e64db8976ad1c93cfbd96b70cd1c4d5821574b268f46e613693a3f7df09")
+
+
 def test_enumerate_writes_files(tmp_path, capsys):
     jp = tmp_path / "report.json"
     cp = tmp_path / "report.csv"

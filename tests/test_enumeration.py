@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (check_membership, cyclic_permute, far_commute, find_entry,
-                      homogeneous_connected)
+from conftest import (any_words, check_membership, cyclic_permute, far_commute,
+                      find_entry, homogeneous_connected)
 from homolink.enumeration import (
     BOUND_CAP,
     CSV_COLUMNS,
@@ -23,10 +23,17 @@ from homolink.enumeration import (
     report_to_json,
     symmetry_reduce,
     words_with_counts,
+    _class_key,
+    _column_sequences,
+    _dressed,
+    _gap_key,
+    _least_sequences,
+    _sequence_gaps,
+    _space_stream,
 )
 from homolink.errors import CapExceededError
-from homolink.words import (BraidWord, connected, is_homogeneous, parse_word,
-                            weak_indices)
+from homolink.words import (BraidWord, component_count, connected,
+                            is_homogeneous, parse_word, weak_indices)
 
 SMALL_SPACES = ([SearchSpace(degree=k) for k in range(5)]
                 + [SearchSpace(genus=g) for g in range(3)])
@@ -79,6 +86,7 @@ def test_classify_refuses_over_cap_before_generating(monkeypatch):
         raise AssertionError("generated words for a space over the cap")
 
     monkeypatch.setattr(enumeration, "_column_sequences", forbidden)
+    monkeypatch.setattr(enumeration, "_least_sequences", forbidden)
     for degree in (6, 7):       # degree 6 (genus 3) cannot finish
         with pytest.raises(CapExceededError):
             classify(SearchSpace(degree=degree))
@@ -140,6 +148,89 @@ def test_orbit_canonical_identifies_symmetries():
     for v in (mirror, reverse, flip, rot):
         assert orbit_canonical(v) == canon
     assert len(symmetry_reduce([w, mirror, reverse, flip, rot])) == 1
+
+
+def _least_in_orbit(seq, n):
+    """Oracle: is seq lex-least among all rotations of itself, its
+    reversal, its flip and its flip-reversal?"""
+    m = len(seq)
+    flip = tuple(n - c for c in seq)
+    for t in (seq, seq[::-1], flip, flip[::-1]):
+        tt = t + t
+        if any(tt[k:k + m] < seq for k in range(m)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("degree, count", [(0, 1), (1, 1), (2, 3), (3, 11),
+                                           (4, 138), (5, 3942)])
+def test_least_sequences_are_the_filtered_column_sequences(degree, count):
+    total = 0
+    for n, m in _space_stream(SearchSpace(degree=degree),
+                              lambda n, m: [(n, m)]):
+        least = list(_least_sequences(n, m))
+        assert least == [seq for seq in _column_sequences(n, m)
+                         if _least_in_orbit(seq, n)]
+        assert len(set(least)) == len(least)
+        total += len(least)
+    assert total == count
+
+
+def _brute_canonical(w):
+    """Oracle: the least of all 8m rotations of the eight images."""
+    n, letters = w.strands, w.letters
+    images = []
+    for s in (letters, tuple(-x for x in letters)):
+        flip = tuple((1 if x > 0 else -1) * (n - abs(x)) for x in s)
+        images += [s, s[::-1], flip, flip[::-1]]
+    return min(t[k:] + t[:k] for t in images for k in range(max(len(t), 1)))
+
+
+def test_orbit_canonical_is_the_least_of_all_rotations():
+    for k in range(5):
+        for w in enumerate_words(SearchSpace(degree=k)):
+            assert orbit_canonical(w) == _brute_canonical(w), w
+
+
+@given(any_words(max_n=6, max_m=12))
+@settings(max_examples=200, deadline=None)
+def test_orbit_canonical_property(w):
+    # any word, weak, inhomogeneous and empty ones included
+    assert orbit_canonical(w) == _brute_canonical(w)
+
+
+def _class_key_oracle(w):
+    """The key as the least over the four images, each read in full."""
+    n = w.strands
+    cols = tuple(abs(x) for x in w.letters)
+    signs = tuple(next(1 if x > 0 else -1 for x in w.letters if abs(x) == c)
+                  for c in range(1, n))
+    flip = tuple(n - c for c in cols)
+    return min((min(s, tuple(-x for x in s)), len(cols), _gap_key(t, n))
+               for t, s in ((cols, signs), (cols[::-1], signs),
+                            (flip, signs[::-1]), (flip[::-1], signs[::-1])))
+
+
+@pytest.mark.parametrize("space", SMALL_SPACES,
+                         ids=lambda s: f"degree{s.degree}-genus{s.genus}")
+def test_per_sequence_keys_are_the_class_keys(space):
+    # classify reads each sequence's gap keys once and dresses them with
+    # every sign choice; that must give class_key of every orbit it keeps
+    keys = {}
+    seqs = _space_stream(space, lambda n, m: (
+        (n, seq) for seq in _least_sequences(n, m)))
+    for n, seq in seqs:
+        if space.knots_only and component_count(BraidWord(n, seq)) != 1:
+            continue
+        gaps = _sequence_gaps(seq, n)
+        for signs, letters in _dressed(n, seq, fix_first=True):
+            w = BraidWord(n, letters)
+            key = _class_key(signs, len(seq), gaps)
+            assert key == class_key(w) == _class_key_oracle(w), w
+            keys[orbit_canonical(w)] = key
+    reps = [w for w in symmetry_reduce(orbit_candidates(space))
+            if not space.knots_only or component_count(w) == 1]
+    assert {w.letters: class_key(w) for w in reps} == keys
 
 
 def _orbit_closure(w):

@@ -48,6 +48,10 @@ ORACLES_AND_SEAMS = {
     "reduction_step": "one skein step, for the termination tests",
     "complexity": "the skein recursion's termination order",
     "action_of_word": "twist-route action in one call; perfbench reads it",
+    "symmetry_reduce": "orbit reduction of any word stream, the oracle for "
+                       "classify's orbits; perfbench wraps it",
+    "class_key": "class key of one word, the oracle for classify's "
+                 "per-sequence keys",
 }
 
 

@@ -5,23 +5,26 @@ read only the nonzero entries of their matrices, and `bareiss` leaves alone
 the rows with a zero in the pivot column. Each is held here to the
 plain dense computation it replaces: explicit products of the matrices
 I + E, M^T J M by full sums, a Gauss-Jordan elimination over Fraction,
-repeated dense products, and the all-pairs Seifert loop.
+repeated dense products, and the all-pairs Seifert loop. The symmetrized
+Seifert determinant and the characteristic polynomial eliminate in a
+permuted order, and are held to the same pencils in the basis order.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import homogeneous_connected
+from conftest import any_words, homogeneous_connected
 from homolink import seifert
 from homolink.monodromy import (ORDER_CAP, _EPS, HomologyAction,
-                                action_of_word, homology_action, matrix_order,
-                                twist_sequence)
-from homolink.polynomials import (bareiss, identity, matmul, nonzero,
-                                  sparse_matmul)
+                                action_of_word, char_poly, homology_action,
+                                matrix_order, twist_sequence)
+from homolink.polynomials import (LaurentPolynomial, bareiss, identity,
+                                  matmul, nonzero, pencil_det, sparse_matmul,
+                                  transpose)
 from homolink.seifert import SeifertMatrix, build_surface, seifert_matrix
-from homolink.words import BraidWord
+from homolink.words import BraidWord, connected, parse_word
 
 
 def dense_mul(A, B):
@@ -299,3 +302,62 @@ def test_order_of_signed_permutations(case):
 def test_seifert_matrix_matches_the_all_pairs_loop(w):
     s = build_surface(w)
     assert seifert_matrix(s).entries == all_pairs_seifert(s)
+
+
+def basis_order_symmetrized_det(V):
+    E = V.entries
+    negT = [[-v for v in row] for row in transpose(E)]
+    return LaurentPolynomial.from_dict(pencil_det(((1, E), (-1, negT))),
+                                       scale=2)
+
+
+@given(any_words(max_n=5, max_m=10))
+@settings(max_examples=150, deadline=None)
+def test_symmetrized_det_in_band_order_is_the_basis_order_det(w):
+    # any connected word, mixed signs included
+    assume(connected(w.letters, w.strands))
+    V = seifert_matrix(build_surface(w))
+    assert sorted(V.band_order) == list(range(V.dimension))
+    assert V.symmetrized_det == basis_order_symmetrized_det(V)
+    plain = SeifertMatrix(V.entries, V.loops)
+    assert plain.band_order == () and plain == V
+    assert plain.symmetrized_det == V.symmetrized_det
+
+
+def bandwidth(V, order):
+    at = {a: i for i, a in enumerate(order)}
+    return max(abs(at[a] - at[b]) for a, row in enumerate(V.entries)
+               for b, v in enumerate(row) if v)
+
+
+@pytest.mark.parametrize("text, r", [("1 -2 ", 12), ("1 -2 3 ", 8),
+                                     ("1 -2 3 -4 ", 6)])
+def test_band_order_is_banded_and_keeps_the_det(text, r):
+    # on these words V has width n - 1 in band order and about k/n in the
+    # basis order
+    w = parse_word(text * r)
+    V = seifert_matrix(build_surface(w))
+    assert (bandwidth(V, V.band_order) <= w.strands - 1
+            < bandwidth(V, range(V.dimension)))
+    assert V.symmetrized_det == basis_order_symmetrized_det(V)
+
+
+def basis_order_char_poly(act):
+    M = act.matrix
+    negM = [[-v for v in row] for row in M]
+    return LaurentPolynomial.from_dict(
+        pencil_det(((1, identity(len(M))), (0, negM))), scale=1)
+
+
+@given(homogeneous_connected(max_n=4, max_m=9))
+@settings(max_examples=100, deadline=None)
+def test_char_poly_in_reverse_order_is_the_basis_order_pencil(w):
+    act = action_of_word(w)
+    assert char_poly(act) == basis_order_char_poly(act)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 12, 25, 40])
+def test_char_poly_of_torus_words_is_the_basis_order_pencil(q):
+    for s in (1, -1):
+        act = action_of_word(BraidWord(2, (s,) * q))
+        assert char_poly(act) == basis_order_char_poly(act)
