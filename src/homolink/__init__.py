@@ -27,7 +27,7 @@ from .monodromy import (HomologyAction, action_of_word, char_poly,
                         homology_action, matrix_order, monodromy_from_seifert,
                         monodromy_order_bound, twist_sequence)
 from .enumeration import (ClassificationReport, LinkClass, LinkSignature,
-                          SearchSpace, bound_n, bound_p, class_key, classify,
+                          SearchSpace, bound_n, bound_p, classify,
                           enumerate_words, link_signature, orbit_canonical,
                           report_to_csv, report_to_json, symmetry_reduce,
                           words_with_counts)
@@ -53,7 +53,7 @@ __all__ = [
     "matrix_order", "monodromy_from_seifert", "monodromy_order_bound",
     "twist_sequence",
     "ClassificationReport", "LinkClass", "LinkSignature", "SearchSpace",
-    "bound_n", "bound_p", "class_key", "classify", "enumerate_words",
+    "bound_n", "bound_p", "classify", "enumerate_words",
     "link_signature", "orbit_canonical", "report_to_csv", "report_to_json",
     "symmetry_reduce", "words_with_counts",
     "ReferenceEntry", "entry_signature", "load_reference_table",

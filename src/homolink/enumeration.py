@@ -10,18 +10,18 @@ shipped reference table.
 
 enumerate_words backtracks over every column sequence and dresses it
 with every sign choice (the raw count the paper's bounds speak of).
-orbit_candidates and classify start from the column sequences that are
-least in their symmetry orbit, generated directly as the necklaces
-(least among their rotations) that no reversed or flipped image
-undercuts, and fix the first letter's sign, so they meet every orbit
-while skipping almost all raw words (138 of 3,201 sequences and 941
-candidates for 45,562 raw words at degree 4).
+_orbits is the one orbit walk, and classify reads it: it starts from the
+column sequences that are least in their symmetry orbit, generated
+directly as the necklaces (least among their rotations) that no reversed
+or flipped image undercuts, and fixes the first letter's sign, so it
+meets every orbit while skipping almost all raw words (138 of 3,201
+sequences and 941 dressed words for 45,562 raw words at degree 4).
 
 Letters whose columns differ by 2 or more commute, and that swap, across
 the wrap-around too, is a braid relation: it keeps the closure and so its
 signature. classify therefore computes one signature per class of orbits
 under rotation and far commutation (119 classes for 873 orbits at degree
-4, 777 for 53,600 at degree 5). class_key names the class. The columns'
+4, 777 for 53,600 at degree 5), named by _class_key. The columns'
 dependence graph is the path 1-2-...-(n-1), so a cyclic word up to
 rotation and far commutation is a closed heap of pieces (a cyclic trace,
 Cartier-Foata 1969; Diekert-Rozenberg, The Book of Traces, 1995), and a
@@ -33,7 +33,7 @@ to the next one's. A far swap never exchanges two letters of one edge,
 so it keeps every projection; the aligned projections rebuild the heap,
 so distinct classes get distinct keys. The key is the least such reading
 over the starts in column 1 and the symmetries, with the sign vector in
-front. The gap vectors depend only on the unsigned sequence, so classify
+front. The gap vectors depend only on the unsigned sequence, so _orbits
 reads them once per least sequence and pairs them with each sign
 choice. The component count is also a function of the sequence and
 constant on a class, so a genus search drops a sequence whose closure is
@@ -50,9 +50,7 @@ from functools import lru_cache
 
 from .errors import CapExceededError
 from .reference import LinkSignature, link_signature, signature_index
-from .words import (BraidWord, component_count, generator_signs,
-                    require_connected, require_homogeneous, word_text,
-                    word_to_json)
+from .words import BraidWord, component_count, word_text, word_to_json
 
 # Largest Conway degree a search space may reach. Degree 6 (genus 3) has
 # 9,801,947 column sequences and cannot finish, so it is refused up front.
@@ -83,11 +81,17 @@ class SearchSpace:
     def knots_only(self):
         return self.genus is not None
 
-    def strand_range(self):
-        return range(2, self.conway_degree + 2)
-
-    def length_for(self, n):
-        return self.conway_degree + n - 1
+    def lengths(self):
+        """The (n, m) of the space's words, m = k + n - 1 on n = 2..k+1
+        strands at Conway degree k, or (1, 0), the empty word, at degree
+        0; refuses a space over cap."""
+        k = self.conway_degree
+        if k > SEARCH_CAP:
+            raise CapExceededError(
+                f"Conway degree {k} exceeds cap {SEARCH_CAP}")
+        if k == 0:
+            return [(1, 0)]
+        return [(n, k + n - 1) for n in range(2, k + 2)]
 
 
 def _column_sequences(n: int, m: int):
@@ -177,56 +181,18 @@ def _sign_choices(n: int) -> tuple:
                  for s in range(1 << (n - 1)))
 
 
-def _dressed(n: int, seq: tuple, fix_first: bool):
-    """(signs, letters) for each sign choice on the column sequence seq, one
-    sign per column; fix_first keeps only the choices that make the first
-    letter positive."""
-    for signs in _sign_choices(n):
-        if not (fix_first and seq and signs[seq[0] - 1] < 0):
-            yield signs, tuple(c * signs[c - 1] for c in seq)
-
-
 def words_with_counts(n: int, m: int):
     """All homogeneous connected non-weak words with exactly (n, m).
 
     Dresses each column sequence with all 2^(n-1) sign choices.
     """
-    return (BraidWord(n, letters) for seq in _column_sequences(n, m)
-            for _, letters in _dressed(n, seq, fix_first=False))
-
-
-def candidates_with_counts(n: int, m: int):
-    """At least one word of every orbit of words_with_counts(n, m).
-
-    Mirror, reversal, column flip and rotation act on a word's column
-    sequence through reversal, flip and rotation; the mirror fixes it and
-    negates every sign. So every orbit holds a word whose sequence is
-    _least_sequences' one for the orbit and whose first letter is
-    positive, and only those words are generated.
-    """
-    return (BraidWord(n, letters) for seq in _least_sequences(n, m)
-            for _, letters in _dressed(n, seq, fix_first=True))
-
-
-def _space_stream(space: SearchSpace, per_length):
-    """per_length(n, m) over the space's (n, m), where Conway degree 0 is
-    (1, 0), the empty word; refuses a space over cap."""
-    k = space.conway_degree
-    if k > SEARCH_CAP:
-        raise CapExceededError(f"Conway degree {k} exceeds cap {SEARCH_CAP}")
-    lengths = ([(1, 0)] if k == 0
-               else [(n, space.length_for(n)) for n in space.strand_range()])
-    return (x for n, m in lengths for x in per_length(n, m))
+    return (BraidWord(n, tuple(c * signs[c - 1] for c in seq))
+            for seq in _column_sequences(n, m) for signs in _sign_choices(n))
 
 
 def enumerate_words(space: SearchSpace):
     """Stream the space's words; degree or genus 0 is the lone empty word."""
-    return _space_stream(space, words_with_counts)
-
-
-def orbit_candidates(space: SearchSpace):
-    """Stream words of the space that meet every symmetry orbit."""
-    return _space_stream(space, candidates_with_counts)
+    return (w for n, m in space.lengths() for w in words_with_counts(n, m))
 
 
 # --- symmetry reduction ----------------------------------------------------
@@ -294,26 +260,47 @@ def _sequence_gaps(cols: tuple, n: int) -> tuple:
 
 
 def _class_key(signs: tuple, m: int, gaps: tuple) -> tuple:
-    """class_key from the column signs, the length and _sequence_gaps: a
-    flip reverses the sign vector and the mirror negates it."""
+    """Key of a word's class under rotation, far commutation and the
+    symmetries, from its column signs, its length m and its sequence's
+    _sequence_gaps.
+
+    The sign vector (least of it and its mirror) comes first, then the
+    length and the aligned gap vectors of _gap_key; the least over
+    identity, reversal, column flip and flip-reversal is the key. A flip
+    reverses the sign vector and the mirror negates it.
+    """
     flipped = signs[::-1]
     return min((min(signs, tuple(-x for x in signs)), m, gaps[0]),
                (min(flipped, tuple(-x for x in flipped)), m, gaps[1]))
 
 
-def class_key(w: BraidWord) -> tuple:
-    """Key of w's class under rotation, far commutation and the symmetries.
+def _orbits(n: int, m: int, knots_only: bool):
+    """(orbit_canonical letters, _class_key) of each orbit of
+    words_with_counts(n, m), each once; with knots_only, of the orbits
+    whose closure is a knot.
 
-    The sign vector (least of it and its mirror) comes first, then the
-    length and the aligned gap vectors of _gap_key; the least over
-    identity, reversal, column flip and flip-reversal is the key.
+    Mirror, reversal, column flip and rotation act on a word's column
+    sequence through reversal, flip and rotation; the mirror fixes it and
+    negates every sign. So every orbit holds a word whose sequence is
+    _least_sequences' one for the orbit and whose first letter is
+    positive, and only those words are dressed; an orbit that one sign
+    choice reaches again is skipped, and no other sequence reaches it. The
+    component count and the gap keys depend only on the sequence, so each
+    is read once per sequence.
     """
-    require_connected(w, "class_key")
-    require_homogeneous(w, "class_key")
-    n = w.strands
-    cols = tuple(abs(x) for x in w.letters)
-    return _class_key(tuple(generator_signs(w.letters, n)[1:]), len(cols),
-                      _sequence_gaps(cols, n))
+    for seq in _least_sequences(n, m):
+        if knots_only and component_count(BraidWord(n, seq)) != 1:
+            continue
+        gaps = _sequence_gaps(seq, n)
+        seen = set()
+        for signs in _sign_choices(n):
+            if seq and signs[seq[0] - 1] < 0:
+                continue
+            canon = orbit_canonical(
+                BraidWord(n, tuple(c * signs[c - 1] for c in seq)))
+            if canon not in seen:
+                seen.add(canon)
+                yield canon, _class_key(signs, m, gaps)
 
 
 # --- classification --------------------------------------------------------
@@ -338,36 +325,22 @@ def classify(space: SearchSpace) -> ClassificationReport:
 
     The table index (reference.signature_index) is built once the space
     has passed its cap and before any word is generated, so a defective
-    table is refused before the search runs. Each least column sequence
-    is walked once: a genus space drops it when its closure is not a
-    knot, and its gap keys are read once for all of its sign choices.
-    Each choice with a positive first letter is an orbit, named by its
-    orbit_canonical letters, unless an earlier choice of the same sequence
-    reached that orbit (no other sequence can). The orbits are then sorted
-    by (strands, letters), as symmetry_reduce sorts them. Each
-    far-commutation class gets one signature, computed and checked
-    against the space's Conway degree on its first orbit and shared by all
-    of its orbits. A group's first orbit is its representative, so groups
-    come out in representative order.
+    table is refused before the search runs. The orbits come from
+    _orbits, one walk over each (n, m) of the space, kept to knots on a
+    genus space, and are sorted by (strands, letters), as symmetry_reduce
+    sorts them. Each far-commutation class gets one signature, computed
+    and checked against the space's Conway degree on its first orbit and
+    shared by all of its orbits. A group's first orbit is its
+    representative, so groups come out in representative order.
     """
-    sequences = _space_stream(
-        space, lambda n, m: ((n, seq) for seq in _least_sequences(n, m)))
+    lengths = space.lengths()
     by_sig, notes = signature_index()
     expected = space.conway_degree
     class_of = {}  # class key -> class index
     orbits = []    # (strands, canonical letters, class index)
-    for n, seq in sequences:
-        if space.knots_only and component_count(BraidWord(n, seq)) != 1:
-            continue
-        gaps = _sequence_gaps(seq, n)
-        seen = set()
-        for signs, letters in _dressed(n, seq, fix_first=True):
-            canon = orbit_canonical(BraidWord(n, letters))
-            if canon not in seen:
-                seen.add(canon)
-                key = _class_key(signs, len(seq), gaps)
-                orbits.append((n, canon,
-                               class_of.setdefault(key, len(class_of))))
+    for n, m in lengths:
+        for canon, key in _orbits(n, m, space.knots_only):
+            orbits.append((n, canon, class_of.setdefault(key, len(class_of))))
     orbits.sort()
 
     sig_of = {}

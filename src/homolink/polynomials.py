@@ -21,6 +21,7 @@ package. `unpack` is the one digit reader of polynomials packed at t = 2^B.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
@@ -136,45 +137,22 @@ def unpack(d, B, e):
     return out
 
 
-def det(M):
-    """Exact determinant of a square matrix of Laurent dicts, by Kronecker
-    substitution onto `bareiss`: rows shifted to non-negative exponents,
-    entries packed as the sum of c * 2^(B*e), digits read back by `unpack`.
-    A coefficient is a Fourier coefficient of det M(e^(i*t)), so at most
-    max_t |det M(e^(i*t))|. Hadamard's inequality bounds that by the product
-    of the rows' Euclidean norms, and |M_rc(e^(i*t))| <= l1(M_rc), the sum
-    of the entry's absolute coefficients. Being an integer, a coefficient is
-    then at most isqrt(prod_r sum_c l1(M_rc)^2); 2^(B-1) exceeds that, so
-    the digits are exactly the coefficients.
+def _packed_det(k, entries, lo):
+    """det of the k x k matrix whose entry (r, c) is the sum of v * t^e over
+    the entries (r, c, v, e), all e >= 0, as a Laurent dict whose exponents
+    start at lo, by Kronecker substitution onto `bareiss`: entries packed as
+    the sum of v * 2^(B*e), digits read back by `unpack`.
+
+    A coefficient is a Fourier coefficient of the det at t = e^(i*x), so at
+    most its largest absolute value. Hadamard's inequality bounds that by
+    the product of the rows' Euclidean norms, and entry (r, c) is at most
+    l1[r][c], the sum of its absolute coefficients. Being an integer, a
+    coefficient is then at most isqrt(prod_r sum_c l1[r][c]^2); 2^(B-1)
+    exceeds that, so the digits are exactly the coefficients.
     """
-    shifts = [min((e for ent in row for e in ent), default=0) for row in M]
-    squares = 1
-    for row in M:
-        squares *= sum(sum(map(abs, ent.values())) ** 2 for ent in row if ent)
-    B = isqrt(squares).bit_length() + 1
-    d = bareiss([[sum(c << B * (e - s) for e, c in ent.items()) for ent in row]
-                 for row, s in zip(M, shifts)])
-    return unpack(d, B, sum(shifts))
-
-
-def pencil_det(terms):
-    """det(sum t^e * A) as a Laurent dict, over (e, A) pairs with distinct e
-    and integer k x k matrices A. Entries are packed at t = 2^B straight
-    from the integers, under `det`'s bound: the l1 norm of entry (r, c) is
-    the sum over the terms of |A[r][c]|. One pass over the terms collects
-    their nonzero entries and those norms; the packing reads only the
-    nonzero entries."""
-    k = len(terms[0][1])
-    lo = min(e for e, _ in terms)
     l1 = [[0] * k for _ in range(k)]
-    entries = []
-    for e, A in terms:
-        e -= lo
-        for r, (row, bound) in enumerate(zip(A, l1)):
-            for c, v in enumerate(row):
-                if v:
-                    bound[c] += abs(v)
-                    entries.append((r, c, v, e))
+    for r, c, v, _ in entries:
+        l1[r][c] += abs(v)
     squares = 1
     for row in l1:
         squares *= sum(x * x for x in row)
@@ -182,7 +160,28 @@ def pencil_det(terms):
     rows = [[0] * k for _ in range(k)]
     for r, c, v, e in entries:
         rows[r][c] += v << B * e
-    return unpack(bareiss(rows), B, k * lo)
+    return unpack(bareiss(rows), B, lo)
+
+
+def det(M):
+    """Exact determinant of a square matrix of Laurent dicts by
+    `_packed_det`, each row shifted to non-negative exponents."""
+    shifts = [min((e for ent in row for e in ent), default=0) for row in M]
+    return _packed_det(len(M), [(r, c, v, e - s)
+                                for r, (row, s) in enumerate(zip(M, shifts))
+                                for c, ent in enumerate(row)
+                                for e, v in ent.items()], sum(shifts))
+
+
+def pencil_det(terms):
+    """det(sum t^e * A) as a Laurent dict, over (e, A) pairs with distinct e
+    and integer k x k matrices A, by `_packed_det` on the nonzero entries
+    of the A."""
+    k = len(terms[0][1])
+    lo = min(e for e, _ in terms)
+    return _packed_det(k, [(r, c, v, e - lo) for e, A in terms
+                           for r, row in enumerate(A)
+                           for c, v in enumerate(row) if v], k * lo)
 
 
 def transpose(A):
@@ -363,11 +362,18 @@ class LaurentPolynomial(_Polynomial):
 
 def polynomial_from_json(obj):
     """Inverse of to_json; coefficients and a t-polynomial's scale must be
-    JSON integers, so a float, string or boolean is refused, not truncated."""
+    JSON integers, so a float, string or boolean is refused, not truncated.
+    An exponent key must be written as to_json writes it, str(e) for an
+    int e, so "02", "+2" or "1_0" is refused and no two keys name one
+    exponent."""
     raw = obj["coeffs"]
     if type(raw) is not dict or any(type(c) is not int for c in raw.values()):
         raise ValueError(f"coefficients must be an object of integers, "
                          f"got {raw!r}")
+    loose = [e for e in raw if not re.fullmatch("0|-?[1-9][0-9]*", e)]
+    if loose:
+        raise ValueError(f"exponent keys must be plain decimal integers, "
+                         f"got {loose[0]!r}")
     coeffs = {int(e): c for e, c in raw.items()}
     if obj["var"] == "z":
         return ConwayPolynomial.from_dict(coeffs)

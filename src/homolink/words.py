@@ -20,10 +20,14 @@ DisconnectedWordError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (BraidSyntaxError, DisconnectedWordError,
                      InhomogeneousWordError)
+
+
+_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -52,15 +56,16 @@ class BraidWord:
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse whitespace-separated signed generator indices.
 
-    Without an explicit strand count the word gets the smallest braid group
-    containing it: max |letter| + 1, or 1 for the empty text.
+    A token is ASCII digits with an optional sign; int()'s other forms,
+    such as "1_0" or non-ASCII digits, are refused. Without an explicit
+    strand count the word gets the smallest braid group containing it:
+    max |letter| + 1, or 1 for the empty text.
     """
     letters = []
     for tok in text.split():
-        try:
-            x = int(tok)
-        except ValueError:
-            raise BraidSyntaxError(f"not an integer token: {tok!r}") from None
+        if not _TOKEN.fullmatch(tok):
+            raise BraidSyntaxError(f"not an integer token: {tok!r}")
+        x = int(tok)
         if x == 0:
             raise BraidSyntaxError("letter 0 is not a generator")
         letters.append(x)

@@ -16,10 +16,10 @@ from homolink.enumeration import (
     bound_n,
     bound_p,
     classify,
-    candidates_with_counts,
     enumerate_words,
     symmetry_reduce,
     words_with_counts,
+    _orbits,
 )
 from homolink.monodromy import (
     action_of_word,
@@ -42,13 +42,14 @@ from homolink.words import BraidWord
 
 @pytest.fixture(scope="session")
 def survey_reps():
-    """Orbit representatives of all non-weak words with n <= 4, m <= 9."""
+    """Orbit representatives of all non-weak words with n <= 4, m <= 9;
+    classify's orbit walk names each of them once, past the cap too."""
     reps = []
     for n in range(2, 5):
         for m in range(2 * (n - 1), 10):
             full = symmetry_reduce(words_with_counts(n, m))
-            assert symmetry_reduce(candidates_with_counts(n, m)) == full, \
-                (n, m)
+            walked = sorted(canon for canon, _ in _orbits(n, m, False))
+            assert walked == [w.letters for w in full], (n, m)
             reps.extend(full)
     assert len(reps) == 2122, "survey enumeration drifted"
     return reps

@@ -296,7 +296,12 @@ SPLIT = "disconnected word; split closure with factors:\n"
     # split and inhomogeneous: refused as split by both commands
     (("1 -1 3 3", "--strands", "4"), EXIT_DISCONNECTED,
      SPLIT + "  [1 -1] on 2 strands\n  [1 1] on 2 strands\n"),
-], ids=["parse", "split", "empty-on-3", "split-inhomogeneous"])
+    # int() would read these as sigma_10 and as 1 1
+    (("1_0 1_0",), EXIT_PARSE, "parse error: not an integer token: '1_0'\n"),
+    (("\uff11 \uff11",), EXIT_PARSE,
+     "parse error: not an integer token: '\uff11'\n"),
+], ids=["parse", "split", "empty-on-3", "split-inhomogeneous", "underscore",
+        "fullwidth"])
 def test_analyze_and_monodromy_refuse_alike(capsys, cmd, argv, code, err):
     assert run(capsys, cmd, *argv) == (code, "", err)
 
@@ -391,6 +396,22 @@ def test_verify_table_malformed_lines_exit_1(tmp_path, capsys):
                         f"{table}.verified")
     written = (tmp_path / "table.jsonl.verified").read_text(encoding="utf-8")
     assert written == json.dumps(json.loads(good), sort_keys=True) + "\n"
+
+
+def test_verify_table_reports_loose_exponent_keys_as_malformed(tmp_path,
+                                                              capsys):
+    # "02" would read as exponent 2 and overwrite the "2" term
+    row = entry_to_json(find_entry("3_1"))
+    row["published_alexander"]["coeffs"] = {"2": 1, "02": -1, "0": -1,
+                                            "-2": 1}
+    table = tmp_path / "table.jsonl"
+    table.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify-table", str(table))
+    assert code == EXIT_UNVERIFIED and err == ""
+    lines = out.splitlines()
+    assert lines[0] == ("line 1: malformed entry skipped (exponent keys must "
+                        "be plain decimal integers, got '02')")
+    assert lines[1].startswith("verified 0, failed 0, malformed 1; ")
 
 
 def test_verify_table_custom_out(tmp_path, capsys):

@@ -13,23 +13,17 @@ from homolink.enumeration import (
     SearchSpace,
     bound_n,
     bound_p,
-    class_key,
     classify,
     enumerate_words,
     link_signature,
     orbit_canonical,
-    orbit_candidates,
     report_to_csv,
     report_to_json,
     symmetry_reduce,
-    words_with_counts,
-    _class_key,
     _column_sequences,
-    _dressed,
     _gap_key,
     _least_sequences,
-    _sequence_gaps,
-    _space_stream,
+    _orbits,
 )
 from homolink.errors import CapExceededError
 from homolink.words import (BraidWord, component_count, connected,
@@ -37,6 +31,13 @@ from homolink.words import (BraidWord, component_count, connected,
 
 SMALL_SPACES = ([SearchSpace(degree=k) for k in range(5)]
                 + [SearchSpace(genus=g) for g in range(3)])
+
+
+def _walk(space):
+    """(strands, canonical letters, class key) of each orbit classify
+    walks in the space."""
+    return [(n, canon, key) for n, m in space.lengths()
+            for canon, key in _orbits(n, m, space.knots_only)]
 
 
 def test_search_space_validation():
@@ -48,12 +49,11 @@ def test_search_space_validation():
         SearchSpace(degree=-1)
     s = SearchSpace(degree=3)
     assert s.degree == 3 and not s.knots_only
-    assert list(s.strand_range()) == [2, 3, 4]
-    assert s.length_for(3) == 5
+    assert s.lengths() == [(2, 4), (3, 5), (4, 6)]
     g = SearchSpace(genus=2)
     assert g.genus == 2 and g.knots_only and g.conway_degree == 4
-    assert list(g.strand_range()) == [2, 3, 4, 5]
-    assert g.length_for(2) == 5
+    assert g.lengths() == [(2, 5), (3, 6), (4, 7), (5, 8)]
+    assert SearchSpace(genus=0).lengths() == [(1, 0)]
 
 
 def test_enumerate_degree_one():
@@ -74,9 +74,10 @@ def test_enumerated_words_are_nonweak_with_right_degree():
 
 
 def test_cap():
-    for stream in (enumerate_words, orbit_candidates):
-        with pytest.raises(CapExceededError):
-            stream(SearchSpace(degree=7))
+    with pytest.raises(CapExceededError):
+        SearchSpace(degree=7).lengths()
+    with pytest.raises(CapExceededError):
+        enumerate_words(SearchSpace(degree=7))
 
 
 def test_classify_refuses_over_cap_before_generating(monkeypatch):
@@ -99,8 +100,9 @@ def test_classify_refuses_over_cap_before_generating(monkeypatch):
 @pytest.mark.parametrize("genus", range(3))
 def test_genus_space_is_the_degree_space_kept_to_knots(genus):
     degree = SearchSpace(degree=2 * genus)
-    assert (list(orbit_candidates(SearchSpace(genus=genus)))
-            == list(orbit_candidates(degree)))
+    assert _walk(SearchSpace(genus=genus)) == [
+        (n, canon, key) for n, canon, key in _walk(degree)
+        if component_count(BraidWord(n, canon)) == 1]
     knots = tuple(c for c in classify(degree).classes
                   if c.signature.component_count == 1)
     assert classify(SearchSpace(genus=genus)).classes == knots
@@ -109,16 +111,19 @@ def test_genus_space_is_the_degree_space_kept_to_knots(genus):
 @pytest.mark.parametrize("space", SMALL_SPACES,
                          ids=lambda s: f"degree{s.degree}-genus{s.genus}")
 def test_candidates_meet_every_orbit(space):
-    candidates = list(orbit_candidates(space))
-    assert (symmetry_reduce(candidates)
-            == symmetry_reduce(enumerate_words(space)))
-    for w in candidates:
-        n, m = w.strands, len(w.letters)
+    # the walk names each orbit of the raw words once, knots only on a
+    # genus space
+    walked = sorted((n, canon) for n, canon, _ in _walk(space))
+    assert walked == [
+        (w.strands, w.letters) for w in symmetry_reduce(enumerate_words(space))
+        if not space.knots_only or component_count(w) == 1]
+    for n, canon in walked:
+        w = BraidWord(n, canon)
         if space.conway_degree == 0:
             assert w == BraidWord(1, ())
             continue
-        assert n in space.strand_range() and m == space.length_for(n)
-        assert is_homogeneous(w) and connected(w.letters, n)
+        assert (n, len(canon)) in space.lengths()
+        assert is_homogeneous(w) and connected(canon, n)
         assert not weak_indices(w)
 
 
@@ -126,7 +131,7 @@ def test_candidates_skip_most_raw_words():
     space = SearchSpace(degree=4)
     raw = sum(1 for _ in enumerate_words(space))
     assert raw == 45562
-    assert 20 * sum(1 for _ in orbit_candidates(space)) <= raw
+    assert 20 * len(_walk(space)) <= raw
 
 
 def test_raw_and_orbit_counts():
@@ -166,8 +171,7 @@ def _least_in_orbit(seq, n):
                                            (4, 138), (5, 3942)])
 def test_least_sequences_are_the_filtered_column_sequences(degree, count):
     total = 0
-    for n, m in _space_stream(SearchSpace(degree=degree),
-                              lambda n, m: [(n, m)]):
+    for n, m in SearchSpace(degree=degree).lengths():
         least = list(_least_sequences(n, m))
         assert least == [seq for seq in _column_sequences(n, m)
                          if _least_in_orbit(seq, n)]
@@ -214,23 +218,10 @@ def _class_key_oracle(w):
 @pytest.mark.parametrize("space", SMALL_SPACES,
                          ids=lambda s: f"degree{s.degree}-genus{s.genus}")
 def test_per_sequence_keys_are_the_class_keys(space):
-    # classify reads each sequence's gap keys once and dresses them with
-    # every sign choice; that must give class_key of every orbit it keeps
-    keys = {}
-    seqs = _space_stream(space, lambda n, m: (
-        (n, seq) for seq in _least_sequences(n, m)))
-    for n, seq in seqs:
-        if space.knots_only and component_count(BraidWord(n, seq)) != 1:
-            continue
-        gaps = _sequence_gaps(seq, n)
-        for signs, letters in _dressed(n, seq, fix_first=True):
-            w = BraidWord(n, letters)
-            key = _class_key(signs, len(seq), gaps)
-            assert key == class_key(w) == _class_key_oracle(w), w
-            keys[orbit_canonical(w)] = key
-    reps = [w for w in symmetry_reduce(orbit_candidates(space))
-            if not space.knots_only or component_count(w) == 1]
-    assert {w.letters: class_key(w) for w in reps} == keys
+    # the walk reads each sequence's gap keys once and pairs them with
+    # every sign choice; that must give the key of the orbit it names
+    for n, canon, key in _walk(space):
+        assert key == _class_key_oracle(BraidWord(n, canon)), canon
 
 
 def _orbit_closure(w):
@@ -287,23 +278,20 @@ def _far_swap_classes(reps):
     return sorted(classes.values())
 
 
-def _key_classes(reps):
-    classes = {}
-    for i, w in enumerate(reps):
-        classes.setdefault(class_key(w), []).append(i)
-    return sorted(classes.values())
-
-
 @pytest.mark.parametrize("space", SMALL_SPACES,
                          ids=lambda s: f"degree{s.degree}-genus{s.genus}")
 def test_class_key_partition_is_one_far_swap_closure(space):
-    reps = symmetry_reduce(orbit_candidates(space))
-    assert _key_classes(reps) == _far_swap_classes(reps)
+    orbits = _walk(space)
+    classes = {}
+    for i, (_, _, key) in enumerate(orbits):
+        classes.setdefault(key, []).append(i)
+    reps = [BraidWord(n, canon) for n, canon, _ in orbits]
+    assert sorted(classes.values()) == _far_swap_classes(reps)
 
 
 def test_class_counts():
-    counts = [len(_key_classes(symmetry_reduce(orbit_candidates(
-        SearchSpace(degree=k))))) for k in range(5)]
+    counts = [len({key for *_, key in _walk(SearchSpace(degree=k))})
+              for k in range(5)]
     assert counts == [1, 1, 5, 18, 119]
 
 
@@ -366,9 +354,9 @@ def far_commutation_moves(draw):
 def test_signature_and_class_key_survive_far_commutation(moves):
     # the fact classify rests on, checked on the engines' values
     w, images = moves
-    sig, key = link_signature(w), class_key(w)
+    sig, key = link_signature(w), _class_key_oracle(w)
     for v in images:
-        assert class_key(v) == key
+        assert _class_key_oracle(v) == key
         assert link_signature(v) == sig
 
 

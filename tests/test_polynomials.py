@@ -279,6 +279,17 @@ def test_laurent_rescale():
         p.rescaled(3)
 
 
+def test_polynomial_from_json_refuses_loose_exponent_keys():
+    # int() would read "02" as 2, dropping a term, and "1_0" as 10
+    for keys in ({"2": 1, "02": -1, "0": -1, "-2": 1}, {"1_0": 1}, {"+2": 1},
+                 {"-0": 1}, {" 2": 1}, {"\uff12": 1}, {"x": 1}):
+        data = {"var": "t", "scale": 2, "coeffs": keys}
+        with pytest.raises(ValueError, match="exponent keys"):
+            polynomial_from_json(data)
+    data = {"var": "z", "scale": 1, "coeffs": {"0": 1, "10": -1}}
+    assert polynomial_from_json(data).as_dict() == {0: 1, 10: -1}
+
+
 def test_laurent_json_round_trip():
     p = LaurentPolynomial.from_dict({-4: 1, 0: -1, 4: 1}, scale=4)
     q = polynomial_from_json(p.to_json())

@@ -40,7 +40,8 @@ def test_no_second_front_end():
 # a seam, with the reason it stays exported
 ORACLES_AND_SEAMS = {
     "jones_kauffman": "brute-force state sum, the tests' second Jones route",
-    "enumerate_words": "raw word stream, the oracle for orbit_candidates",
+    "enumerate_words": "raw word stream, the oracle for classify's orbit "
+                       "walk; perfbench wraps it",
     "words_with_counts": "raw words of one (n, m), read by enumerate_words",
     "unreduced_burau": "Burau matrix, held to the braid relations in tests",
     "conway_to_laurent": "z = t^1/2 - t^-1/2, the tests' Conway-Alexander "
@@ -50,41 +51,62 @@ ORACLES_AND_SEAMS = {
     "action_of_word": "twist-route action in one call; perfbench reads it",
     "symmetry_reduce": "orbit reduction of any word stream, the oracle for "
                        "classify's orbits; perfbench wraps it",
-    "class_key": "class key of one word, the oracle for classify's "
-                 "per-sequence keys",
 }
 
+# unexported definitions that only the oracles above read
+ORACLE_HELPERS = {"_column_sequences", "_UnionFind", "z_substitute"}
 
-def _names_read(tree, skip):
-    """Names a module reads, leaving out each top-level definition's reads
-    of its own name and everything read inside a definition named in
-    skip, so a name that only an oracle reads counts as unread."""
+
+def _own_names(top):
+    """The names a top-level statement defines."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    if isinstance(top, ast.Assign):
+        return {t.id for t in top.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _reads(top):
+    """Names a top-level statement reads, leaving out its own names."""
     read = set()
-    for top in tree.body:
-        own = getattr(top, "name", None)
-        if own in skip:
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            if name != own:
-                read.add(name)
-    return read
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read - _own_names(top)
+
+
+def _package_statements():
+    return [top for path in Path(homolink.__file__).parent.glob("*.py")
+            if path.name != "__init__.py"
+            for top in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
+def _unread(statements, skip):
+    """Top-level definitions that nothing live reads: a definition named in
+    skip, or one found unread, has its own reads left out, until no more
+    fall, so a name that only an oracle or dead code reads counts as
+    unread."""
+    defined = set().union(*map(_own_names, statements))
+    dead = set()
+    while True:
+        read = set().union(*(_reads(top) for top in statements
+                             if not _own_names(top) & (skip | dead)))
+        if defined - read == dead:
+            return dead
+        dead = defined - read
 
 
 def test_package_exports_what_the_program_runs():
-    read = set()
-    for path in Path(homolink.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            read |= _names_read(tree, ORACLES_AND_SEAMS)
+    statements = _package_statements()
+    unread = _unread(statements, ORACLES_AND_SEAMS.keys())
     # __version__ is package metadata, not code
-    unread = {name for name in homolink.__all__
-              if not name.startswith("__") and name not in read}
-    assert unread == ORACLES_AND_SEAMS.keys()
+    exported = {name for name in homolink.__all__ if not name.startswith("__")}
+    assert exported & unread == ORACLES_AND_SEAMS.keys()
+    assert unread == ORACLES_AND_SEAMS.keys() | ORACLE_HELPERS
+    oracles = [top for top in statements
+               if _own_names(top) & ORACLES_AND_SEAMS.keys()]
+    assert ORACLE_HELPERS <= set().union(*map(_reads, oracles))

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
-                      InhomogeneousWordError, build_surface, class_key,
-                      component_count, conway_skein, degree_and_leading,
-                      is_homogeneous, normalize_nonweak, parse_word,
-                      permutation,
+                      InhomogeneousWordError, build_surface, component_count,
+                      conway_skein, degree_and_leading, is_homogeneous,
+                      normalize_nonweak, parse_word, permutation,
                       reduction_step, seifert_matrix, shift, split_factors,
-                      twist_sequence, weak_indices,
-                      word_from_json, word_to_json)
+                      twist_sequence, weak_indices, word_from_json,
+                      word_to_json)
 from homolink.words import connected, generator_signs, letter_counts
 
 from conftest import (any_words, cyclic_permute, far_commute,
@@ -38,6 +37,14 @@ def test_parse_rejects_zero_and_out_of_range():
         parse_word("2", 2)
     with pytest.raises(BraidSyntaxError):
         parse_word("one")
+
+
+def test_parse_reads_only_signed_ascii_digits():
+    assert parse_word("+1 -2 01").letters == (1, -2, 1)
+    # int() accepts all of these
+    for text in ("1_0", "\uff11", "\u0662", "1 2_2"):
+        with pytest.raises(BraidSyntaxError, match="not an integer token"):
+            parse_word(text)
 
 
 def test_profile_figure_eight():
@@ -146,7 +153,6 @@ REFUSING_ENGINES = [
     ("degree_and_leading", degree_and_leading, True, True),
     ("seifert_matrix", _surface_engine(seifert_matrix), True, False),
     ("twist_sequence", twist_sequence, True, True),
-    ("class_key", class_key, True, True),
 ]
 
 
