@@ -88,7 +88,7 @@ def mixed_sign_orbit_words(homogeneous):
             letters = tuple(s * x for s, x in zip(signs, w.letters))
             word = BraidWord(w.strands, letters)
             if (not is_homogeneous(word)
-                    and orbit_canonical(word) == letters):
+                    and orbit_canonical(letters, w.strands) == letters):
                 yield word
 
 

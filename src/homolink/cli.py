@@ -107,6 +107,11 @@ def cmd_analyze(args) -> int:
         skein = conway_skein(w)
         V = seifert_matrix(build_surface(w))
         surface = conway_from_seifert(V)
+        if (surface.degree, surface.leading_coefficient) != (deg, lead):
+            raise RuntimeError(f"degree cross-check failed on {w}: formula "
+                               f"({deg}, {lead:+d}) != seifert "
+                               f"({surface.degree}, "
+                               f"{surface.leading_coefficient:+d})")
         report["conway_skein"] = skein.to_json()
         report["conway_seifert"] = surface.to_json()
         report["routes_agree"] = skein == surface

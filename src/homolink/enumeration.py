@@ -39,6 +39,10 @@ choice. The component count is also a function of the sequence and
 constant on a class, so a genus search drops a sequence whose closure is
 not a knot before any key and signs only knot classes.
 
+classify folds the orbits into one record per class, its least orbit
+and its orbit count, and builds a word and a signature only on that
+orbit; no orbit list is kept or sorted.
+
 Signatures and the table they are matched against belong to `reference`;
 two closures with equal signatures are reported as one class.
 """
@@ -197,13 +201,13 @@ def enumerate_words(space: SearchSpace):
 
 # --- symmetry reduction ----------------------------------------------------
 
-def orbit_canonical(w: BraidWord) -> tuple:
-    """Lex-min letters over mirror, reversal, column flip and rotation.
+def orbit_canonical(letters: tuple, n: int) -> tuple:
+    """Lex-min letters over mirror, reversal, column flip and rotation of
+    the word letters on n strands.
 
     The least of all those rotations starts with the least letter of the
     eight images, so only the rotations starting there are compared.
     """
-    letters, n = w.letters, w.strands
     if not letters:
         return letters
     images = (_images(letters, n)
@@ -216,11 +220,8 @@ def orbit_canonical(w: BraidWord) -> tuple:
 def symmetry_reduce(words) -> list:
     """One word per orbit, its orbit_canonical letters, sorted by
     (strands, letters)."""
-    reps = {}
-    for w in words:
-        key = (w.strands, orbit_canonical(w))
-        reps.setdefault(key, BraidWord(w.strands, key[1]))
-    return [reps[k] for k in sorted(reps)]
+    keys = {(w.strands, orbit_canonical(w.letters, w.strands)) for w in words}
+    return [BraidWord(n, canon) for n, canon in sorted(keys)]
 
 
 # --- far-commutation classes -----------------------------------------------
@@ -254,9 +255,8 @@ def _gap_key(cols, n):
 def _sequence_gaps(cols: tuple, n: int) -> tuple:
     """The least _gap_key of the unflipped images of cols (identity and
     reversal) and of the flipped ones (flip and flip-reversal)."""
-    flip = tuple(n - c for c in cols)
-    return (min(_gap_key(cols, n), _gap_key(cols[::-1], n)),
-            min(_gap_key(flip, n), _gap_key(flip[::-1], n)))
+    keys = [_gap_key(t, n) for t in _images(cols, n)]
+    return min(keys[:2]), min(keys[2:])
 
 
 def _class_key(signs: tuple, m: int, gaps: tuple) -> tuple:
@@ -296,8 +296,7 @@ def _orbits(n: int, m: int, knots_only: bool):
         for signs in _sign_choices(n):
             if seq and signs[seq[0] - 1] < 0:
                 continue
-            canon = orbit_canonical(
-                BraidWord(n, tuple(c * signs[c - 1] for c in seq)))
+            canon = orbit_canonical(tuple(c * signs[c - 1] for c in seq), n)
             if canon not in seen:
                 seen.add(canon)
                 yield canon, _class_key(signs, m, gaps)
@@ -327,34 +326,31 @@ def classify(space: SearchSpace) -> ClassificationReport:
     has passed its cap and before any word is generated, so a defective
     table is refused before the search runs. The orbits come from
     _orbits, one walk over each (n, m) of the space, kept to knots on a
-    genus space, and are sorted by (strands, letters), as symmetry_reduce
-    sorts them. Each far-commutation class gets one signature, computed
-    and checked against the space's Conway degree on its first orbit and
-    shared by all of its orbits. A group's first orbit is its
-    representative, so groups come out in representative order.
+    genus space. Each far-commutation class keeps only its least orbit
+    by (strands, letters) and its orbit count. In order of least orbit,
+    each class is signed and checked against the space's Conway degree
+    on that orbit and adds its count to the signature's group, so a
+    group's representative is its least orbit; no orbit list is sorted.
     """
     lengths = space.lengths()
     by_sig, notes = signature_index()
     expected = space.conway_degree
-    class_of = {}  # class key -> class index
-    orbits = []    # (strands, canonical letters, class index)
+    records = {}   # class key -> [least (strands, canonical letters), size]
     for n, m in lengths:
         for canon, key in _orbits(n, m, space.knots_only):
-            orbits.append((n, canon, class_of.setdefault(key, len(class_of))))
-    orbits.sort()
+            record = records.setdefault(key, [(n, canon), 0])
+            record[0] = min(record[0], (n, canon))
+            record[1] += 1
 
-    sig_of = {}
-    groups = {}    # signature -> [first orbit, orbit count]
-    for n, canon, cls in orbits:
+    groups = {}    # signature -> [representative, orbit count]
+    for (n, canon), size in sorted(records.values()):
         w = BraidWord(n, canon)
-        sig = sig_of.get(cls)
-        if sig is None:
-            sig = sig_of[cls] = link_signature(w)
-            if sig.conway_degree != expected:
-                raise RuntimeError(f"degree cross-check failed on {w}: "
-                                   f"{sig.conway_degree} != {expected}")
+        sig = link_signature(w)
+        if sig.conway_degree != expected:
+            raise RuntimeError(f"degree cross-check failed on {w}: "
+                               f"{sig.conway_degree} != {expected}")
         group = groups.setdefault(sig, [w, 0])
-        group[1] += 1
+        group[1] += size
 
     classes = tuple(LinkClass(sig, rep, by_sig.get(sig, "unidentified"), size)
                     for sig, (rep, size) in groups.items())

@@ -69,14 +69,26 @@ def entry_to_json(entry: ReferenceEntry) -> dict:
     return out
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict, refusing a key named twice at any depth
+    (plain json.loads keeps the last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def table_rows(text):
     """(line number, entry) for each non-blank line of a JSONL table; a
-    line that does not parse yields its exception in place of the entry."""
+    line that does not parse, or names a key twice in one object, yields
+    its exception in place of the entry."""
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            row = parse_entry(json.loads(line))
+            row = parse_entry(json.loads(line, object_pairs_hook=_unique_keys))
         except (ValueError, KeyError, TypeError) as exc:
             row = exc
         yield ln, row

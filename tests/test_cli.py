@@ -85,6 +85,16 @@ def test_analyze_checks_burau_alexander_against_seifert(monkeypatch):
         main(["analyze", "1 1 1"])
 
 
+def test_analyze_checks_degree_formula_against_seifert(monkeypatch):
+    # the printed degree line comes from the word formula and is held
+    # equal to the degree and leading coefficient of the Seifert Conway
+    monkeypatch.setattr("homolink.cli.degree_and_leading", lambda w: (2, -1))
+    with pytest.raises(RuntimeError, match=r"degree cross-check failed on "
+                                           r"1 1 1 on 2 strands: formula "
+                                           r"\(2, -1\) != seifert \(2, \+1\)"):
+        main(["analyze", "1 1 1"])
+
+
 def test_analyze_jones_cap(capsys):
     code, out, _ = run(capsys, "analyze", " ".join(["1"] * 17))
     assert code == EXIT_OK
@@ -411,6 +421,20 @@ def test_verify_table_reports_loose_exponent_keys_as_malformed(tmp_path,
     lines = out.splitlines()
     assert lines[0] == ("line 1: malformed entry skipped (exponent keys must "
                         "be plain decimal integers, got '02')")
+    assert lines[1].startswith("verified 0, failed 0, malformed 1; ")
+
+
+def test_verify_table_reports_repeated_keys_as_malformed(tmp_path, capsys):
+    # raw text: json.loads would keep the last "-2" and verify 3_1 as ok
+    line = ('{"name": "3_1", "n": 2, "word": [1, 1, 1], "verified": true, '
+            '"published_alexander": {"var": "t", "scale": 2, "coeffs": '
+            '{"-2": 5, "-2": 1, "0": -1, "2": 1}}}')
+    table = tmp_path / "table.jsonl"
+    table.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify-table", str(table))
+    assert code == EXIT_UNVERIFIED and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "line 1: malformed entry skipped (repeated key '-2')"
     assert lines[1].startswith("verified 0, failed 0, malformed 1; ")
 
 

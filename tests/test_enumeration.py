@@ -149,9 +149,9 @@ def test_orbit_canonical_identifies_symmetries():
     flip = BraidWord(3, tuple((1 if x > 0 else -1) * (3 - abs(x))
                               for x in w.letters))
     rot = BraidWord(3, w.letters[2:] + w.letters[:2])
-    canon = orbit_canonical(w)
+    canon = orbit_canonical(w.letters, 3)
     for v in (mirror, reverse, flip, rot):
-        assert orbit_canonical(v) == canon
+        assert orbit_canonical(v.letters, 3) == canon
     assert len(symmetry_reduce([w, mirror, reverse, flip, rot])) == 1
 
 
@@ -193,14 +193,15 @@ def _brute_canonical(w):
 def test_orbit_canonical_is_the_least_of_all_rotations():
     for k in range(5):
         for w in enumerate_words(SearchSpace(degree=k)):
-            assert orbit_canonical(w) == _brute_canonical(w), w
+            assert (orbit_canonical(w.letters, w.strands)
+                    == _brute_canonical(w)), w
 
 
 @given(any_words(max_n=6, max_m=12))
 @settings(max_examples=200, deadline=None)
 def test_orbit_canonical_property(w):
     # any word, weak, inhomogeneous and empty ones included
-    assert orbit_canonical(w) == _brute_canonical(w)
+    assert orbit_canonical(w.letters, w.strands) == _brute_canonical(w)
 
 
 def _class_key_oracle(w):
@@ -245,8 +246,9 @@ def test_symmetry_reduce_partition_is_the_orbit_closure():
         by_closure, by_canon = {}, {}
         for w in words:
             by_closure.setdefault(_orbit_closure(w), set()).add(w)
-            by_canon.setdefault((w.strands, orbit_canonical(w)),
-                                set()).add(w)
+            by_canon.setdefault(
+                (w.strands, orbit_canonical(w.letters, w.strands)),
+                set()).add(w)
         assert (set(map(frozenset, by_closure.values()))
                 == set(map(frozenset, by_canon.values())))
         reps = symmetry_reduce(words)
@@ -271,7 +273,8 @@ def _far_swap_classes(reps):
             if abs(abs(v.letters[0]) - abs(v.letters[1])) >= 2:
                 u = far_commute(v, 1)
                 parent[root(i)] = root(
-                    index[BraidWord(u.strands, orbit_canonical(u))])
+                    index[BraidWord(u.strands,
+                                    orbit_canonical(u.letters, u.strands))])
     classes = {}
     for i in range(len(reps)):
         classes.setdefault(root(i), []).append(i)
@@ -307,6 +310,38 @@ def test_classify_computes_one_signature_per_class(monkeypatch):
     report = classify(SearchSpace(degree=4))
     assert len(calls) == 119
     assert sum(c.size for c in report.classes) == 873
+
+
+def test_classify_builds_one_word_per_class(monkeypatch):
+    # classify keeps one record per far-commutation class and builds a
+    # word only for each class's least orbit, never one per orbit
+    from homolink import enumeration
+    built = []
+
+    def counted(n, letters):
+        built.append(letters)
+        return BraidWord(n, letters)
+
+    monkeypatch.setattr(enumeration, "BraidWord", counted)
+    classify(SearchSpace(degree=4))
+    assert len(built) == 119
+
+
+@pytest.mark.parametrize("space", [SearchSpace(degree=k) for k in range(4)]
+                         + [SearchSpace(genus=g) for g in range(2)],
+                         ids=lambda s: f"degree{s.degree}-genus{s.genus}")
+def test_classify_is_the_signature_grouping_of_the_orbits(space):
+    # the per-class fold against its specification, with no far-commutation
+    # classes: one signature per orbit, groups in order of their least orbit
+    groups = {}
+    for w in symmetry_reduce(enumerate_words(space)):
+        if space.knots_only and component_count(w) != 1:
+            continue
+        group = groups.setdefault(link_signature(w), [w, 0])
+        group[1] += 1
+    assert ([(c.signature, c.representative, c.size)
+             for c in classify(space).classes]
+            == [(sig, rep, size) for sig, (rep, size) in groups.items()])
 
 
 def test_genus_space_signs_only_knot_classes(monkeypatch):

@@ -152,6 +152,30 @@ def test_table_in_an_unknown_variable_is_malformed(tmp_path):
             load_reference_table(path)
 
 
+# raw text, because json.dumps cannot write a key twice; plain json.loads
+# would keep the last value and read each line as a well-formed 3_1
+_TREFOIL_LINE = ('{"name": "3_1", "n": 2, "word": [1, 1, 1], "verified": '
+                 'true, "published_alexander": {"var": "t", "scale": 2, '
+                 '"coeffs": {"2": 1, "0": -1, "-2": 1}}}')
+
+
+@pytest.mark.parametrize("line, key", [
+    (_TREFOIL_LINE.replace('"-2": 1', '"-2": 5, "-2": 1'), "'-2'"),
+    (_TREFOIL_LINE.replace('"verified": true',
+                           '"verified": false, "verified": true'),
+     "'verified'"),
+])
+def test_repeated_key_is_malformed(tmp_path, line, key):
+    assert parse_entry(json.loads(_TREFOIL_LINE)) == find_entry("3_1")
+    [(ln, parsed)] = table_rows(line)
+    assert ln == 1 and isinstance(parsed, ValueError)
+    assert str(parsed) == f"repeated key {key}"
+    path = tmp_path / "repeated.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: repeated key"):
+        load_reference_table(path)
+
+
 def test_entry_signature_matches_word_signature():
     from homolink.enumeration import link_signature
     e = find_entry("4_1")
