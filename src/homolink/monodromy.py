@@ -138,9 +138,13 @@ def char_poly(action: HomologyAction) -> LaurentPolynomial:
     first column is full, so eliminating that column first fills every
     row; taken last, it meets rows already reduced.
     """
-    negM = [[-v for v in row[::-1]] for row in action.matrix[::-1]]
-    return LaurentPolynomial.from_dict(
-        pencil_det(((1, identity(len(negM))), (0, negM))), scale=1)
+    k = action.dimension
+    entries = [(r, r, 1, 1) for r in range(k)]
+    for r, row in enumerate(action.matrix, 1):
+        for c, v in enumerate(row, 1):
+            if v:
+                entries.append((k - r, k - c, -v, 0))
+    return LaurentPolynomial.from_dict(pencil_det(k, entries, 0), scale=1)
 
 
 def matrix_order(action: HomologyAction):

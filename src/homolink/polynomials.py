@@ -11,11 +11,11 @@ with int keys and no stored zeros:
 All hot loops work on the raw dicts. The wrapper classes below fix the scale
 and keep a sorted coefficient tuple, so values are hashable, comparable and
 printable. Determinants are exact (no floats anywhere) and all run on one
-integer elimination, `bareiss`. The small matrix layer next to it
-(`transpose`, `matmul`, `identity` on integer tuples, `nonzero` and
-`sparse_matmul` for products with a sparse left factor, and `pencil_det` for
-det(sum t^e * A) over integer matrices A) is the only matrix code in the
-package. `unpack` is the one digit reader of polynomials packed at t = 2^B.
+integer elimination, `bareiss`, which `pencil_det` reaches from a polynomial
+matrix's (row, col, coefficient, exponent) entries. The only other matrix
+code is here: `transpose`, `matmul`, `identity` on integer tuples, `nonzero`
+and `sparse_matmul` for products with a sparse left factor. `unpack` is the
+one digit reader of polynomials packed at t = 2^B.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ def mul(a, b):
             else:
                 out.pop(e, None)
     return out
-
-
-def smul(a, k):
-    return {e: c * k for e, c in a.items()} if k else {}
 
 
 def eshift(a, k):
@@ -137,7 +133,7 @@ def unpack(d, B, e):
     return out
 
 
-def _packed_det(k, entries, lo):
+def pencil_det(k, entries, lo):
     """det of the k x k matrix whose entry (r, c) is the sum of v * t^e over
     the entries (r, c, v, e), all e >= 0, as a Laurent dict whose exponents
     start at lo, by Kronecker substitution onto `bareiss`: entries packed as
@@ -165,23 +161,12 @@ def _packed_det(k, entries, lo):
 
 def det(M):
     """Exact determinant of a square matrix of Laurent dicts by
-    `_packed_det`, each row shifted to non-negative exponents."""
+    `pencil_det`, each row shifted to non-negative exponents."""
     shifts = [min((e for ent in row for e in ent), default=0) for row in M]
-    return _packed_det(len(M), [(r, c, v, e - s)
-                                for r, (row, s) in enumerate(zip(M, shifts))
-                                for c, ent in enumerate(row)
-                                for e, v in ent.items()], sum(shifts))
-
-
-def pencil_det(terms):
-    """det(sum t^e * A) as a Laurent dict, over (e, A) pairs with distinct e
-    and integer k x k matrices A, by `_packed_det` on the nonzero entries
-    of the A."""
-    k = len(terms[0][1])
-    lo = min(e for e, _ in terms)
-    return _packed_det(k, [(r, c, v, e - lo) for e, A in terms
-                           for r, row in enumerate(A)
-                           for c, v in enumerate(row) if v], k * lo)
+    return pencil_det(len(M), [(r, c, v, e - s)
+                               for r, (row, s) in enumerate(zip(M, shifts))
+                               for c, ent in enumerate(row)
+                               for e, v in ent.items()], sum(shifts))
 
 
 def transpose(A):
@@ -225,19 +210,22 @@ def _zx_power(d):
 def z_extract(balanced):
     """Rewrite a balanced Laurent dict in x as a polynomial in z = x - 1/x.
 
-    Peels the top degree repeatedly. Raises ArithmeticError if the input is
-    not in the image of the substitution (negative degree left over), which
-    for our callers signals a sign-convention bug rather than bad data.
+    Peels c * (x - 1/x)^d off a coefficient list in one pass from the top
+    degree d down. Raises ArithmeticError if the input is not in the image
+    of the substitution (negative degree left over), which for our callers
+    signals a sign-convention bug rather than bad data.
     """
-    rem = dict(balanced)
+    hi = max(balanced, default=0)
+    lo = min(min(balanced, default=0), -hi)
+    rem = [balanced.get(e, 0) for e in range(lo, hi + 1)]
     out = {}
-    while rem:
-        d = max(rem)
-        if d < 0:
-            raise ArithmeticError("leftover terms of negative degree")
-        c = rem[d]
-        out[d] = c
-        rem = sub(rem, smul(_zx_power(d), c))
+    for d in range(hi, -1, -1):
+        if c := rem[d - lo]:
+            out[d] = c
+            for e, b in _zx_power(d).items():
+                rem[e - lo] -= c * b
+    if any(rem):
+        raise ArithmeticError("leftover terms of negative degree")
     return out
 
 
@@ -245,7 +233,7 @@ def z_substitute(conway_coeffs):
     """Expand a z-polynomial dict under z = x - 1/x (x-exponent Laurent)."""
     out = {}
     for d, c in conway_coeffs.items():
-        out = add(out, smul(_zx_power(d), c))
+        out = add(out, {e: c * b for e, b in _zx_power(d).items()})
     return out
 
 

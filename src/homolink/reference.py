@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -113,12 +114,21 @@ def load_reference_table(path=None) -> list:
 def write_text(text, path):
     """Write text to path as UTF-8, atomically: a temp file in the target's
     directory replaces path only once it is complete, and is removed if
-    anything fails. OSError reaches the caller."""
+    anything fails. The file keeps the permission bits of the one it
+    replaces; a new file gets 0o666 less the umask, as open() would give
+    it, not mkstemp's 0o600. OSError reaches the caller."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -78,12 +78,17 @@ class SeifertMatrix:
         on (1 -2)^r, where the basis order has width about k/2) and the
         elimination updates only the rows of the band.
         """
-        V = self.entries
-        order = self.band_order or range(self.dimension)
-        E = [[V[a][b] for b in order] for a in order]
-        negT = [[-V[b][a] for b in order] for a in order]
-        return LaurentPolynomial.from_dict(pencil_det(((1, E), (-1, negT))),
-                                           scale=2)
+        k = self.dimension
+        pos = {a: i for i, a in enumerate(self.band_order or range(k))}
+        # x*V - V^T/x with every row times x, so the det starts at x^-k:
+        # V[a][b] = v is v*x^2 at (a, b) and -v at (b, a)
+        entries = []
+        for a, row in enumerate(self.entries):
+            for b, v in enumerate(row):
+                if v:
+                    entries.append((pos[a], pos[b], v, 2))
+                    entries.append((pos[b], pos[a], -v, 0))
+        return LaurentPolynomial.from_dict(pencil_det(k, entries, -k), scale=2)
 
 
 def build_surface(w: BraidWord) -> BraidedSurface:

@@ -70,6 +70,17 @@ def complexity_less(a: tuple, b: tuple) -> bool:
     return (len(a), a) < (len(b), b)
 
 
+def pencil_entries(terms):
+    """The (k, entries, lo) arguments of `pencil_det` for det(sum t^e * A)
+    over dense (e, A) terms with distinct e and integer k x k matrices A:
+    the nonzero entries of each A at exponent e - min e, and lo = k * min e."""
+    k = len(terms[0][1])
+    lo = min(e for e, _ in terms)
+    return k, [(r, c, v, e - lo) for e, A in terms
+               for r, row in enumerate(A)
+               for c, v in enumerate(row) if v], k * lo
+
+
 def surface_conway(w: BraidWord):
     """Conway polynomial through the surface route, one call."""
     return conway_from_seifert(seifert_matrix(build_surface(w)))

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -252,6 +254,37 @@ def test_enumerate_writes_files(tmp_path, capsys):
     data = json.loads(jp.read_text(encoding="utf-8"))
     assert data["classes"][0]["matched"] == "hopf"
     assert cp.read_text(encoding="utf-8") == out
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_reports_get_the_umask_mode_or_keep_the_replaced_one(tmp_path, capsys,
+                                                             umask_022):
+    table = tmp_path / "t.jsonl"
+    table.write_text(json.dumps(entry_to_json(find_entry("hopf"))) + "\n",
+                     encoding="utf-8")
+    jp, cp, out = (tmp_path / "r.json", tmp_path / "r.csv",
+                   tmp_path / "t.jsonl.verified")
+    argvs = (["enumerate", "--degree", "1", "--json", str(jp), "--csv",
+              str(cp)], ["verify-table", str(table)])
+
+    def modes():
+        return [stat.S_IMODE(p.stat().st_mode) for p in (jp, cp, out)]
+
+    for argv in argvs:  # new files: 0o666 & ~0o022, not mkstemp's 0o600
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert modes() == [0o644] * 3
+    for p, mode in zip((jp, cp, out), (0o640, 0o604, 0o664)):
+        p.chmod(mode)
+    for argv in argvs:  # replaced files keep their own modes
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert modes() == [0o640, 0o604, 0o664]
 
 
 @pytest.mark.parametrize("blocker", ["missing", "directory"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import pencil_entries
 from homolink.polynomials import (
     ONE,
     ConwayPolynomial,
@@ -21,7 +22,6 @@ from homolink.polynomials import (
     neg,
     pencil_det,
     polynomial_from_json,
-    smul,
     sub,
     transpose,
     units_equal,
@@ -57,8 +57,6 @@ def test_basic_arithmetic():
     assert neg(b) == {2: 3, -1: -4}
     assert mul(a, b) == {2: -3, -1: 4, 4: -9, 1: 12}
     assert mul(a, {}) == {}
-    assert smul(a, -2) == {0: -2, 2: -6}
-    assert smul(a, 0) == {}
     assert eshift(a, 3) == {3: 1, 5: 3}
 
 
@@ -148,13 +146,15 @@ def test_pencil_det():
     # det(t*I - A) is the characteristic polynomial t^2 - 5t - 2
     A = ((1, 2), (3, 4))
     minus_a = [[-v for v in row] for row in A]
-    assert pencil_det(((1, identity(2)), (0, minus_a))) == {2: 1, 1: -5, 0: -2}
-    assert pencil_det(((1, ()), (0, ()))) == ONE
+    assert pencil_det(*pencil_entries(((1, identity(2)), (0, minus_a)))) == {
+        2: 1, 1: -5, 0: -2}
+    assert pencil_det(*pencil_entries(((1, ()), (0, ())))) == ONE
     # x*H + x^-1*H^T, entries built the same way by hand
     H = HADAMARD
     by_hand = [[clean({1: H[r][c], -1: H[c][r]}) for c in range(4)]
                for r in range(4)]
-    assert pencil_det(((1, H), (-1, transpose(H)))) == det(by_hand)
+    assert pencil_det(*pencil_entries(((1, H), (-1, transpose(H))))) == det(
+        by_hand)
 
 
 def test_unpack_reads_balanced_digits():
@@ -184,7 +184,7 @@ def test_pencil_det_matches_det_of_the_dict_matrix(terms):
     k = len(terms[0][1])
     by_dict = [[{e: A[r][c] for e, A in terms if A[r][c]} for c in range(k)]
                for r in range(k)]
-    assert pencil_det(terms) == det(by_dict)
+    assert pencil_det(*pencil_entries(terms)) == det(by_dict)
 
 
 def test_pencil_det_reaches_the_coefficient_bound():
@@ -193,9 +193,10 @@ def test_pencil_det_reaches_the_coefficient_bound():
     def diag(*v):
         return [[v[r] if r == c else 0 for c in range(3)] for r in range(3)]
 
-    assert pencil_det(((1, diag(-3, 0, 17)), (0, diag(0, 5, 0)))) == {2: -255}
-    assert pencil_det(((2, diag(-15, 0, 17)), (-1, diag(0, -1, 0)))) == {
-        3: 255}
+    assert pencil_det(*pencil_entries(
+        ((1, diag(-3, 0, 17)), (0, diag(0, 5, 0))))) == {2: -255}
+    assert pencil_det(*pencil_entries(
+        ((2, diag(-15, 0, 17)), (-1, diag(0, -1, 0))))) == {3: 255}
 
 
 def test_bareiss_determinant_and_solve():
@@ -217,7 +218,8 @@ def test_z_extract_and_substitute_round_trip():
     assert clean(z_substitute({2: 1, 0: 1})) == clean(poly)
 
 
-@given(st.dictionaries(st.integers(0, 5), st.integers(-6, 6), max_size=4))
+@given(st.dictionaries(st.integers(0, 20), st.integers(-10**9, 10**9),
+                       max_size=8))
 def test_z_round_trip_random(coeffs):
     coeffs = clean(coeffs)
     assert z_extract(z_substitute(coeffs)) == coeffs
@@ -226,6 +228,11 @@ def test_z_round_trip_random(coeffs):
 def test_z_extract_rejects_non_z_polynomials():
     with pytest.raises(ArithmeticError):
         z_extract({1: 1})  # x alone is not a polynomial in x - 1/x
+    # a lone negative degree, mixed parities, and x - 1/x with x^-3 over
+    for bad in ({-2: 1}, {2: 1, 1: 1}, {1: 1, -1: -1, -3: 1}):
+        with pytest.raises(ArithmeticError):
+            z_extract(bad)
+    assert z_extract({}) == {}
 
 
 def test_units_equal():

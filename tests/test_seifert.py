@@ -85,9 +85,9 @@ def test_conway_from_fixed_matrices():
 def test_symmetrized_det_computed_once(monkeypatch):
     calls = []
 
-    def counting(terms):
-        calls.append(terms)
-        return pencil_det(terms)
+    def counting(*args):
+        calls.append(args)
+        return pencil_det(*args)
 
     monkeypatch.setattr(seifert, "pencil_det", counting)
     V = seifert_matrix(build_surface(parse_word("1 -2 1 -2")))

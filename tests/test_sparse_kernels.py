@@ -7,7 +7,9 @@ plain dense computation it replaces: explicit products of the matrices
 I + E, M^T J M by full sums, a Gauss-Jordan elimination over Fraction,
 repeated dense products, and the all-pairs Seifert loop. The symmetrized
 Seifert determinant and the characteristic polynomial eliminate in a
-permuted order, and are held to the same pencils in the basis order.
+permuted order, and are held to the same pencils in the basis order; the
+integer rows they hand `bareiss` are held to those of the dense pencils in
+their own order.
 """
 
 from fractions import Fraction
@@ -15,8 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import any_words, homogeneous_connected
-from homolink import seifert
+from conftest import any_words, homogeneous_connected, pencil_entries
+from homolink import polynomials, seifert
 from homolink.monodromy import (ORDER_CAP, _EPS, HomologyAction,
                                 action_of_word, char_poly, homology_action,
                                 matrix_order, twist_sequence)
@@ -24,7 +26,7 @@ from homolink.polynomials import (LaurentPolynomial, bareiss, identity,
                                   matmul, nonzero, pencil_det, sparse_matmul,
                                   transpose)
 from homolink.seifert import SeifertMatrix, build_surface, seifert_matrix
-from homolink.words import BraidWord, connected, parse_word
+from homolink.words import BraidWord, connected, is_homogeneous, parse_word
 
 
 def dense_mul(A, B):
@@ -307,8 +309,8 @@ def test_seifert_matrix_matches_the_all_pairs_loop(w):
 def basis_order_symmetrized_det(V):
     E = V.entries
     negT = [[-v for v in row] for row in transpose(E)]
-    return LaurentPolynomial.from_dict(pencil_det(((1, E), (-1, negT))),
-                                       scale=2)
+    return LaurentPolynomial.from_dict(
+        pencil_det(*pencil_entries(((1, E), (-1, negT)))), scale=2)
 
 
 @given(any_words(max_n=5, max_m=10))
@@ -346,7 +348,8 @@ def basis_order_char_poly(act):
     M = act.matrix
     negM = [[-v for v in row] for row in M]
     return LaurentPolynomial.from_dict(
-        pencil_det(((1, identity(len(M))), (0, negM))), scale=1)
+        pencil_det(*pencil_entries(((1, identity(len(M))), (0, negM)))),
+        scale=1)
 
 
 @given(homogeneous_connected(max_n=4, max_m=9))
@@ -361,3 +364,58 @@ def test_char_poly_of_torus_words_is_the_basis_order_pencil(q):
     for s in (1, -1):
         act = action_of_word(BraidWord(2, (s,) * q))
         assert char_poly(act) == basis_order_char_poly(act)
+
+
+def bareiss_inputs(compute):
+    """compute()'s value and the rows of each `bareiss` call it made,
+    copied before the elimination changes them."""
+    seen = []
+    real = polynomials.bareiss
+
+    def recording(rows):
+        seen.append([list(row) for row in rows])
+        return real(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "bareiss", recording)
+        value = compute()
+    return value, seen
+
+
+def check_packing(w):
+    """symmetrized_det and char_poly hand `bareiss` exactly the integers of
+    the dense pencils xV - V^T/x in band order and tI - M in reverse basis
+    order, packed through `pencil_entries`: same B, same elimination order."""
+    V = seifert_matrix(build_surface(w))
+    E, order = V.entries, V.band_order
+    dense = pencil_entries(((1, [[E[a][b] for b in order] for a in order]),
+                            (-1, [[-E[b][a] for b in order] for a in order])))
+    got, rows = bareiss_inputs(lambda: V.symmetrized_det.as_dict())
+    assert (got, rows) == bareiss_inputs(lambda: pencil_det(*dense))
+    assert len(rows) == 1
+    if not is_homogeneous(w):
+        return
+    act = action_of_word(w)
+    negM = [[-v for v in row[::-1]] for row in act.matrix[::-1]]
+    dense = pencil_entries(((1, identity(act.dimension)), (0, negM)))
+    got, rows = bareiss_inputs(lambda: char_poly(act).as_dict())
+    assert (got, rows) == bareiss_inputs(lambda: pencil_det(*dense))
+    assert len(rows) == 1
+
+
+@given(any_words(max_n=5, max_m=10))
+@settings(max_examples=150, deadline=None)
+def test_pencils_pack_the_dense_construction(w):
+    assume(connected(w.letters, w.strands))
+    check_packing(w)
+
+
+def test_pencils_pack_the_dense_construction_on_torus_words():
+    for q in range(1, 41):
+        for s in (1, -1):
+            check_packing(BraidWord(2, (s,) * q))
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_pencils_pack_the_dense_construction_on_banded_words(r):
+    check_packing(parse_word("1 -2 " * r))
