@@ -26,13 +26,13 @@ from .burau import alexander_via_burau, unreduced_burau
 from .monodromy import (HomologyAction, action_of_word, char_poly,
                         homology_action, matrix_order, monodromy_from_seifert,
                         monodromy_order_bound, twist_sequence)
-from .enumeration import (ClassificationReport, LinkClass, LinkSignature,
-                          SearchSpace, bound_n, bound_p, classify,
-                          enumerate_words, link_signature, orbit_canonical,
-                          report_to_csv, report_to_json, symmetry_reduce,
-                          words_with_counts)
-from .reference import (ReferenceEntry, entry_signature, load_reference_table,
-                        verify_entry, write_table)
+from .enumeration import (ClassificationReport, LinkClass, SearchSpace,
+                          bound_n, bound_p, classify, enumerate_words,
+                          orbit_canonical, report_to_csv, report_to_json,
+                          symmetry_reduce, words_with_counts)
+from .reference import (LinkSignature, ReferenceEntry, entry_signature,
+                        link_signature, load_reference_table, verify_entry,
+                        write_table)
 
 __version__ = "0.1.0"
 

@@ -37,10 +37,10 @@ from .reference import table_rows, verify_entry, write_table, write_text
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .skein import conway_skein, degree_and_leading
-from .words import (component_count, generator_signs, letter_counts,
-                    normalize_nonweak, parse_word, require_connected,
-                    require_homogeneous, weak_indices, word_text,
-                    word_to_json)
+from .words import (component_count, generator_signs, is_homogeneous,
+                    letter_counts, normalize_nonweak, parse_word,
+                    require_connected, require_homogeneous, weak_indices,
+                    word_text, word_to_json)
 
 EXIT_OK = 0
 EXIT_UNVERIFIED = 1
@@ -77,7 +77,7 @@ def cmd_analyze(args) -> int:
     # connected, so no generator is absent: alpha(i) is +-1, or None if mixed
     q = letter_counts(w.letters, w.strands)[1:]
     alpha = generator_signs(w.letters, w.strands)[1:]
-    homogeneous = None not in alpha
+    homogeneous = is_homogeneous(w)
     weak = sorted(weak_indices(w))
     comps = component_count(w)
     report = {
@@ -220,7 +220,7 @@ def cmd_monodromy(args) -> int:
     is_torus = norm.strands == 2
     if is_torus:
         report["order_bound"] = monodromy_order_bound(norm)
-        report["order"] = matrix_order(act)
+        report["order"] = matrix_order(act, report["order_bound"])
 
     if args.fmt == "json":
         _emit(json.dumps(report, sort_keys=True))

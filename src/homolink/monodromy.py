@@ -14,7 +14,9 @@ interleave with its own. The loops of one column have disjoint spans, so
 in each neighbouring column only the loop whose span holds its first band
 and the loop whose span holds its second can interleave with it. A row of
 J therefore has at most 6 nonzero entries at any word length, and the
-twist route and the form check read only those.
+twist route reads only those. The form check forms M^T (J M) with
+`sparse_matmul`, the package's one matrix product, so it reads only the
+nonzero entries of J and of M^T.
 
 Conventions (transvection sign, which of V^(-1)V^T vs its inverse) were
 calibrated once on the trefoil so that the twist route, the matrix route
@@ -28,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .polynomials import (LaurentPolynomial, bareiss, identity, matmul,
-                          nonzero, pencil_det, sparse_matmul, transpose)
+from .polynomials import (LaurentPolynomial, bareiss, identity, nonzero,
+                          pencil_det, sparse_matmul, transpose)
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
 from .words import (BraidWord, generator_signs, letter_counts,
                     require_connected, require_homogeneous)
 
 _EPS = 1  # transvection sign for a positive twist, calibrated
-ORDER_CAP = 512  # matrix_order gives up past this power
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,11 @@ class HomologyAction:
         return len(self.matrix)
 
     def preserves_form(self) -> bool:
-        """M^T J M == J, with J M formed through J's nonzero entries."""
+        """M^T (J M) == J, each product formed through the nonzero entries
+        of its left factor."""
         M, J = self.matrix, self.intersection_form
-        return matmul(transpose(M), sparse_matmul(nonzero(J), M)) == J
+        return sparse_matmul(nonzero(transpose(M)),
+                             sparse_matmul(nonzero(J), M)) == J
 
 
 def twist_sequence(w: BraidWord) -> tuple:
@@ -147,15 +150,15 @@ def char_poly(action: HomologyAction) -> LaurentPolynomial:
     return LaurentPolynomial.from_dict(pencil_det(k, entries, 0), scale=1)
 
 
-def matrix_order(action: HomologyAction):
-    """Least positive power equal to the identity, or None to ORDER_CAP.
+def matrix_order(action: HomologyAction, limit: int):
+    """Least positive power, at most limit, equal to the identity, or None.
 
     Each step is P <- M * P through the nonzero entries of M's rows; M
     commutes with its powers, so these are the powers M^order."""
     ident = identity(action.dimension)
     S = nonzero(action.matrix)
     P = ident
-    for order in range(1, ORDER_CAP + 1):
+    for order in range(1, limit + 1):
         P = sparse_matmul(S, P)
         if P == ident:
             return order

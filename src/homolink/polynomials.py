@@ -12,15 +12,16 @@ All hot loops work on the raw dicts. The wrapper classes below fix the scale
 and keep a sorted coefficient tuple, so values are hashable, comparable and
 printable. Determinants are exact (no floats anywhere) and all run on one
 integer elimination, `bareiss`, which `pencil_det` reaches from a polynomial
-matrix's (row, col, coefficient, exponent) entries. The only other matrix
-code is here: `transpose`, `matmul`, `identity` on integer tuples, `nonzero`
-and `sparse_matmul` for products with a sparse left factor. `unpack` is the
-one digit reader of polynomials packed at t = 2^B.
+matrix's (row, col, coefficient, exponent) entries. Both pencils, the
+Seifert det(tV - V^T) and det(tI - M), are listed at t with exponents 0
+and 1. The only other matrix code is here: `transpose` and `identity` on
+integer tuples, and `sparse_matmul`, the one matrix product, which reads
+its left factor as `nonzero` pairs. `unpack` is the one digit reader of
+polynomials packed at t = 2^B.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +43,6 @@ def add(a, b):
 
 def neg(a):
     return {e: -c for e, c in a.items()}
-
-
-def sub(a, b):
-    return add(a, neg(b))
 
 
 def mul(a, b):
@@ -171,12 +168,6 @@ def det(M):
 
 def transpose(A):
     return tuple(zip(*A))
-
-
-def matmul(A, B):
-    cols = transpose(B)
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
-                 for row in A)
 
 
 def nonzero(A):
@@ -333,11 +324,6 @@ class LaurentPolynomial(_Polynomial):
     @classmethod
     def from_dict(cls, d, scale=2):
         return cls(scale, _sorted_items(d))
-
-    def mirror(self):
-        """t -> 1/t."""
-        return LaurentPolynomial(self.scale,
-                                 _sorted_items({-e: c for e, c in self.coeffs}))
 
     def rescaled(self, scale):
         if scale == self.scale:

@@ -72,23 +72,26 @@ class SeifertMatrix:
         """det(x*V - (1/x)*V^T), x = t^(1/2), so exponents at scale 2;
         computed once, for both the Conway and the Alexander value.
 
-        The pencil is eliminated in band_order, a simultaneous permutation
-        of rows and columns that leaves the determinant unchanged. Only
-        loops whose spans meet link, so in that order V is banded (width 2
-        on (1 -2)^r, where the basis order has width about k/2) and the
-        elimination updates only the rows of the band.
+        It is x^-k det(tV - V^T): the pencil is listed at t, like
+        `char_poly`'s, and t^e is read back as x^(2e - k). It is eliminated
+        in band_order, a simultaneous permutation of rows and columns that
+        leaves the determinant unchanged. Only loops whose spans meet link,
+        so in that order V is banded (width 2 on (1 -2)^r, where the basis
+        order has width about k/2) and the elimination updates only the
+        rows of the band.
         """
         k = self.dimension
         pos = {a: i for i, a in enumerate(self.band_order or range(k))}
-        # x*V - V^T/x with every row times x, so the det starts at x^-k:
-        # V[a][b] = v is v*x^2 at (a, b) and -v at (b, a)
+        # V[a][b] = v is v*t at (a, b) and -v at (b, a)
         entries = []
         for a, row in enumerate(self.entries):
             for b, v in enumerate(row):
                 if v:
-                    entries.append((pos[a], pos[b], v, 2))
+                    entries.append((pos[a], pos[b], v, 1))
                     entries.append((pos[b], pos[a], -v, 0))
-        return LaurentPolynomial.from_dict(pencil_det(k, entries, -k), scale=2)
+        return LaurentPolynomial.from_dict(
+            {2 * e - k: c for e, c in pencil_det(k, entries, 0).items()},
+            scale=2)
 
 
 def build_surface(w: BraidWord) -> BraidedSurface:

@@ -11,8 +11,9 @@ used only by the tests, so they live here and not in the package.
 import pytest
 from hypothesis import assume, strategies as st
 
-from homolink import (BraidWord, build_surface, classify, conway_from_seifert,
-                      entry_signature, load_reference_table, seifert_matrix)
+from homolink import (BraidWord, LaurentPolynomial, build_surface, classify,
+                      conway_from_seifert, entry_signature,
+                      load_reference_table, seifert_matrix)
 
 
 @st.composite
@@ -68,6 +69,12 @@ def far_commute(w: BraidWord, j: int) -> BraidWord:
 
 def complexity_less(a: tuple, b: tuple) -> bool:
     return (len(a), a) < (len(b), b)
+
+
+def invert_t(p: LaurentPolynomial) -> LaurentPolynomial:
+    """p with t -> 1/t, same scale."""
+    return LaurentPolynomial.from_dict({-e: c for e, c in p.as_dict().items()},
+                                       scale=p.scale)
 
 
 def pencil_entries(terms):

@@ -191,7 +191,7 @@ def test_criterion_8_torus_monodromy_orders():
                 assert M[r][c] == (-1 if r == c - 1 else 0), (q, r, c)
         assert monodromy_order_bound(w) == lcm(2, q)
         if q >= 3:
-            assert matrix_order(act) == lcm(2, q), q
+            assert matrix_order(act, lcm(2, q)) == lcm(2, q), q
     print("criterion 8: PASS - torus word actions shift basis classes as "
           "required and realize order lcm(2,q) for q = 3..7")
 
@@ -204,4 +204,4 @@ def test_criterion_8_torus_monodromy_orders():
            "only holds from q = 3 up")
 def test_criterion_8_annulus_order_matches_formula():
     act = action_of_word(BraidWord(2, (1, 1)))
-    assert matrix_order(act) == lcm(2, 2)
+    assert matrix_order(act, lcm(2, 2)) == lcm(2, 2)

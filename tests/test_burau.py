@@ -2,12 +2,17 @@
 
 from hypothesis import given, settings
 
-from conftest import any_words, cyclic_permute, homogeneous_connected
+from conftest import (any_words, cyclic_permute, homogeneous_connected,
+                      invert_t)
 from homolink.burau import alexander_via_burau, unreduced_burau
 from homolink.polynomials import (ONE, add, conway_to_laurent, det, eshift,
-                                  mul, neg, sub, units_equal)
+                                  mul, neg, units_equal)
 from homolink.skein import conway_skein
 from homolink.words import BraidWord, component_count, parse_word
+
+
+def sub(a, b):
+    return add(a, neg(b))
 
 
 def burau_letter(U, x):
@@ -164,7 +169,7 @@ def test_mirror_symmetry(w):
     m = BraidWord(w.strands, tuple(-x for x in w.letters))
     a = alexander_via_burau(w)
     b = alexander_via_burau(m)
-    d, ref = b.as_dict(), a.mirror().as_dict()
+    d, ref = b.as_dict(), invert_t(a).as_dict()
     assert d == ref or d == {e: -c for e, c in ref.items()}
 
 

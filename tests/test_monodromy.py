@@ -55,13 +55,13 @@ def test_trefoil_action():
     assert act.preserves_form()
     assert bareiss([list(row) for row in act.matrix]) == 1
     assert char_poly(act).as_dict() == {2: 1, 1: -1, 0: 1}
-    assert matrix_order(act) == 6
+    assert matrix_order(act, 12) == 6
 
 
 def test_homology_action_identity_when_no_twists():
     act = homology_action((), SeifertMatrix((), ()))
     assert act.matrix == ()
-    assert matrix_order(act) == 1
+    assert matrix_order(act, 1) == 1
 
 
 def test_homology_action_dimension_mismatch():
@@ -152,10 +152,10 @@ def test_torus_orders():
     expected = {2: 1, 3: 6, 4: 4, 5: 10, 6: 6, 7: 14}
     for q, order in expected.items():
         w = BraidWord(2, (1,) * q)
-        assert matrix_order(action_of_word(w)) == order
+        assert matrix_order(action_of_word(w), 2 * q) == order
         assert monodromy_order_bound(w) == (2 if q == 2 else order)
     assert monodromy_order_bound(BraidWord(2, (-1,) * 5)) == 10
-    assert matrix_order(action_of_word(BraidWord(2, (-1, -1, -1)))) == 6
+    assert matrix_order(action_of_word(BraidWord(2, (-1, -1, -1))), 6) == 6
 
 
 def test_torus_action_shifts_basis_classes():

@@ -17,12 +17,10 @@ from homolink.polynomials import (
     equal_up_to_unit,
     eshift,
     identity,
-    matmul,
     mul,
     neg,
     pencil_det,
     polynomial_from_json,
-    sub,
     transpose,
     units_equal,
     unpack,
@@ -45,7 +43,7 @@ def cofactor(m):
     for j, cell in enumerate(m[0]):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         term = mul(cell, cofactor(minor))
-        total = add(total, term) if j % 2 == 0 else sub(total, term)
+        total = add(total, term if j % 2 == 0 else neg(term))
     return total
 
 
@@ -53,7 +51,7 @@ def test_basic_arithmetic():
     a = {0: 1, 2: 3}
     b = {2: -3, -1: 4}
     assert add(a, b) == {0: 1, -1: 4}
-    assert sub(a, a) == {}
+    assert add(a, neg(a)) == {}
     assert neg(b) == {2: 3, -1: -4}
     assert mul(a, b) == {2: -3, -1: 4, 4: -9, 1: 12}
     assert mul(a, {}) == {}
@@ -137,8 +135,7 @@ def test_det_reaches_the_hadamard_bound():
 def test_matrix_helpers():
     A = ((1, 2), (3, 4))
     assert transpose(A) == ((1, 3), (2, 4))
-    assert matmul(A, ((0, 1), (1, 0))) == ((2, 1), (4, 3))
-    assert matmul(identity(2), A) == A
+    assert identity(2) == ((1, 0), (0, 1))
     assert identity(0) == ()
 
 
@@ -271,7 +268,6 @@ def test_conway_json_round_trip():
 def test_laurent_wrapper():
     p = LaurentPolynomial.from_dict({1: 1, -1: -1}, scale=2)
     assert p.as_dict() == {1: 1, -1: -1}
-    assert p.mirror().as_dict() == {1: -1, -1: 1}
     assert Fraction(1, 2) in [Fraction(e, p.scale) for e in p.as_dict()]
     text = str(p)
     assert "t^(1/2)" in text and "t^(-1/2)" in text

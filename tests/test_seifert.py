@@ -5,7 +5,8 @@ import json
 
 from hypothesis import assume, given, settings
 
-from conftest import any_words, homogeneous_connected, surface_conway
+from conftest import (any_words, homogeneous_connected, invert_t,
+                      surface_conway)
 from homolink.burau import alexander_via_burau
 from homolink import seifert
 from homolink.cli import main
@@ -192,7 +193,7 @@ def test_intersection_form_is_unimodular_for_knots(w):
 @settings(max_examples=100, deadline=None)
 def test_alexander_palindromic(w):
     p = alexander_from_seifert(seifert_matrix(build_surface(w)))
-    flipped = p.mirror()
+    flipped = invert_t(p)
     c = component_count(w)
     if c % 2:
         assert flipped == p

@@ -19,11 +19,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import any_words, homogeneous_connected, pencil_entries
 from homolink import polynomials, seifert
-from homolink.monodromy import (ORDER_CAP, _EPS, HomologyAction,
-                                action_of_word, char_poly, homology_action,
-                                matrix_order, twist_sequence)
+from homolink.monodromy import (_EPS, HomologyAction, action_of_word,
+                                char_poly, homology_action, matrix_order,
+                                twist_sequence)
 from homolink.polynomials import (LaurentPolynomial, bareiss, identity,
-                                  matmul, nonzero, pencil_det, sparse_matmul,
+                                  nonzero, pencil_det, sparse_matmul,
                                   transpose)
 from homolink.seifert import SeifertMatrix, build_surface, seifert_matrix
 from homolink.words import BraidWord, connected, is_homogeneous, parse_word
@@ -80,10 +80,13 @@ def fraction_gauss_jordan(A, B):
     return d, [row[k:] for row in rows]
 
 
+ORDER_LIMIT = 512  # the powers the order tests try
+
+
 def dense_order(M):
     ident = identity(len(M))
     P = ident
-    for order in range(1, ORDER_CAP + 1):
+    for order in range(1, ORDER_LIMIT + 1):
         P = dense_mul(P, M)
         if P == ident:
             return order
@@ -201,9 +204,8 @@ def test_preserves_form_refuses_what_breaks_the_form():
     lambda k: st.tuples(square(k, sparse_entries),
                         square(k, st.integers(-4, 4)))))
 @settings(max_examples=100, deadline=None)
-def test_sparse_matmul_and_matmul_match_dense(pair):
+def test_sparse_matmul_matches_dense(pair):
     A, B = pair
-    assert matmul(A, B) == dense_mul(A, B)
     assert sparse_matmul(nonzero(A), B) == dense_mul(A, B)
 
 
@@ -276,14 +278,14 @@ def test_bareiss_solves_unit_pivot_matrices(A):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_torus_order_matches_dense_powers(q, sign):
     act = action_of_word(BraidWord(2, (sign,) * q))
-    assert matrix_order(act) == dense_order(act.matrix)
+    assert matrix_order(act, ORDER_LIMIT) == dense_order(act.matrix)
 
 
 @given(homogeneous_connected(max_n=4, max_m=6))
 @settings(max_examples=20, deadline=None)
 def test_order_matches_dense_powers_on_fibred_words(w):
     act = action_of_word(w)
-    assert matrix_order(act) == dense_order(act.matrix)
+    assert matrix_order(act, ORDER_LIMIT) == dense_order(act.matrix)
 
 
 @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
@@ -296,7 +298,7 @@ def test_order_of_signed_permutations(case):
     M = tuple(tuple(signs[r] * (c == perm[r]) for c in range(k))
               for r in range(k))
     act = HomologyAction(M, identity(k))
-    assert matrix_order(act) == dense_order(M)
+    assert matrix_order(act, ORDER_LIMIT) == dense_order(M)
 
 
 @given(homogeneous_connected(max_n=5, max_m=10))
@@ -384,15 +386,18 @@ def bareiss_inputs(compute):
 
 def check_packing(w):
     """symmetrized_det and char_poly hand `bareiss` exactly the integers of
-    the dense pencils xV - V^T/x in band order and tI - M in reverse basis
-    order, packed through `pencil_entries`: same B, same elimination order."""
+    the dense pencils tV - V^T in band order and tI - M in reverse basis
+    order, packed through `pencil_entries`: same B, same elimination order.
+    The Seifert value is that of the x-pencil xV - V^T/x, x = t^(1/2)."""
     V = seifert_matrix(build_surface(w))
     E, order = V.entries, V.band_order
-    dense = pencil_entries(((1, [[E[a][b] for b in order] for a in order]),
-                            (-1, [[-E[b][a] for b in order] for a in order])))
+    banded = [[E[a][b] for b in order] for a in order]
+    neg_t = [[-E[b][a] for b in order] for a in order]
     got, rows = bareiss_inputs(lambda: V.symmetrized_det.as_dict())
-    assert (got, rows) == bareiss_inputs(lambda: pencil_det(*dense))
-    assert len(rows) == 1
+    _, dense_rows = bareiss_inputs(
+        lambda: pencil_det(*pencil_entries(((1, banded), (0, neg_t)))))
+    assert rows == dense_rows and len(rows) == 1
+    assert got == pencil_det(*pencil_entries(((1, banded), (-1, neg_t))))
     if not is_homogeneous(w):
         return
     act = action_of_word(w)
