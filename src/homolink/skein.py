@@ -4,7 +4,9 @@ This is the combinatorial route: no surface, no matrix, just the skein
 relation driven by the word syntax. Every step removes, smooths or slides a
 consecutive pair of same-index letters whose gap is simple enough, and each
 child word is strictly smaller in the short-lex complexity order, so the
-recursion terminates. The Seifert-matrix route in `seifert` computes the
+recursion terminates. Of the admissible pairs, a step takes the cheapest
+relation, a smooth one first, then a slide, then an exchange (see
+`_reduce`). The Seifert-matrix route in `seifert` computes the
 same polynomial by a completely different method; the test suite holds the
 two against each other.
 
@@ -17,7 +19,9 @@ is detectable on thousands of small words (first failures at n = 3, m = 7).
 
 from __future__ import annotations
 
-from .polynomials import ONE, ConwayPolynomial, add, mul
+from bisect import bisect_left, bisect_right
+
+from .polynomials import ONE, ConwayPolynomial
 from .words import (BraidWord, generator_signs, letter_counts, min_rotation,
                     require_connected, require_homogeneous, shift_letters)
 
@@ -31,9 +35,40 @@ def complexity(w: BraidWord) -> tuple:
 _memo: dict = {}
 # `conway_skein` empties the memo before a call once it holds more entries
 # than this, which bounds it over a long run (a single call may still pass
-# it); 3,000 short words or one 3-strand word of length 40 fill a few
-# thousand.
+# it); 3,000 short words fill about 3,400 entries, (1 -2)^r fills 6r and
+# (1 -2 3)^12 about 19,400.
 _MEMO_LIMIT = 1 << 17
+
+
+def _between(ps, p1, p2):
+    """How many of the sorted positions ps lie strictly inside the cyclic
+    interval from p1 to p2 (wrapping past the end of the word if p2 < p1)."""
+    k = bisect_left(ps, p2) - bisect_right(ps, p1)
+    return k if p2 > p1 else k + len(ps)
+
+
+def _admissible(word, pos, n):
+    """Admissible consecutive same-index pairs, in scan order: smallest
+    index first, leftmost pair first, wrap-around pair last.
+
+    Yields (rank, p1, p2, pl): rank 0 for a smooth pair, whose gap holds no
+    letter of index j+1 or j-1; 1 for a slide and 2 for an exchange, whose
+    gap holds one letter of index j-1, at pl, with the pair's sign or the
+    opposite one. pos[i] lists the positions of the index-i letters.
+    """
+    for j in range(1, n):
+        ps, up, down = pos[j], pos[j + 1], pos[j - 1]
+        for t, p1 in enumerate(ps):
+            p2 = ps[t + 1 - len(ps)]
+            if _between(up, p1, p2):
+                continue
+            low = _between(down, p1, p2)
+            if low == 0:
+                yield 0, p1, p2, None
+            elif low == 1:
+                pl = down[bisect_right(down, p1) % len(down)]
+                yield (1 if (word[pl] > 0) == (word[p1] > 0) else 2,
+                       p1, p2, pl)
 
 
 def _reduce(word, n):
@@ -50,52 +85,56 @@ def _reduce(word, n):
       slide        pair straddling one like-signed lower letter; one child
       exchange     pair straddling one opposite-signed lower letter; the
                    four children combine as t1 + a*z*(t2 + t3) - a*z*t0
+
+    Destabilization comes first. Otherwise the cheapest admissible pair is
+    taken: the first smooth pair in scan order (two shorter children), else
+    the first slide (one child), else the first exchange (four children).
+    On `(1 -2)^r` the first pair in scan order is always an exchange, and
+    taking it made the memo grow exponentially in r; this choice leaves 6r
+    entries.
     """
     if n == 1:
         return "unknot", ()
-    q = letter_counts(word, n)
-    if any(q[i] == 0 for i in range(1, n)):
+    pos = [[] for _ in range(n + 1)]
+    for p, x in enumerate(word):
+        pos[abs(x)].append(p)
+    if not all(pos[1:n]):
         return "split", ()
     for i in range(1, n):
-        if q[i] == 1:
+        if len(pos[i]) == 1:
             return "destabilize", ((ONE, (shift_letters(word, i), n - 1)),)
-    # all q_i >= 2: scan consecutive same-index pairs, smallest index first,
-    # leftmost pair first, wrap-around pair last
-    sgn = generator_signs(word, n)
-    for j in range(1, n):
-        ps = [p for p, x in enumerate(word) if abs(x) == j]
-        for t in range(len(ps)):
-            p1 = ps[t]
-            p2 = ps[(t + 1) % len(ps)]
-            if p2 > p1:
-                gap = word[p1 + 1:p2]
-                rest = word[p2 + 1:] + word[:p1]
-            else:
-                gap = word[p1 + 1:] + word[:p2]
-                rest = word[p2 + 1:p1]
-            if any(abs(x) == j + 1 for x in gap):
-                continue
-            low = [ix for ix, x in enumerate(gap) if abs(x) == j - 1]
-            if len(low) > 1:
-                continue
-            a = sgn[j]
-            sj, az = j * a, {1: a}
-            if not low:
-                u = rest + gap
-                return "smooth", ((ONE, (u, n)), (az, (u + (sj,), n)))
-            ix = low[0]
-            b = 1 if gap[ix] > 0 else -1
-            sk = (j - 1) * b
-            u = gap[ix + 1:] + rest + gap[:ix]
-            if a == b:
-                return "slide", ((ONE, (u + (sk, sj, sk), n)),)
-            return "exchange", ((ONE, (u + (sk, sj, sk), n)),
-                                 (az, (u + (sk, sj), n)),
-                                 (az, (u + (sj, sk), n)),
-                                 ({1: -a}, (u, n)))
-    raise AssertionError(
-        f"no admissible pair in {word} on {n} strands; this cannot happen "
-        "for a homogeneous word and indicates a bug")
+    best = None
+    for pair in _admissible(word, pos, n):
+        if best is None or pair[0] < best[0]:
+            best = pair
+            if not best[0]:
+                break
+    if best is None:
+        raise AssertionError(
+            f"no admissible pair in {word} on {n} strands; this cannot "
+            "happen for a homogeneous word and indicates a bug")
+    rank, p1, p2, pl = best
+    if p2 > p1:
+        gap = word[p1 + 1:p2]
+        rest = word[p2 + 1:] + word[:p1]
+    else:
+        gap = word[p1 + 1:] + word[:p2]
+        rest = word[p2 + 1:p1]
+    sj = word[p1]
+    a = 1 if sj > 0 else -1
+    az = {1: a}
+    if rank == 0:
+        u = rest + gap
+        return "smooth", ((ONE, (u, n)), (az, (u + (sj,), n)))
+    ix = (pl - p1 - 1) % len(word)
+    sk = gap[ix]
+    u = gap[ix + 1:] + rest + gap[:ix]
+    if rank == 1:
+        return "slide", ((ONE, (u + (sk, sj, sk), n)),)
+    return "exchange", ((ONE, (u + (sk, sj, sk), n)),
+                        (az, (u + (sk, sj), n)),
+                        (az, (u + (sj, sk), n)),
+                        ({1: -a}, (u, n)))
 
 
 def _conway(word, n):
@@ -110,9 +149,13 @@ def _conway(word, n):
         # a unit step (destabilize, slide) shares its child's dict
         val = _conway(*terms[0][1])
     else:
-        val = {}
+        # one accumulator for the whole relation; zeros are dropped at the end
+        acc = {}
         for coef, child in terms:
-            val = add(val, mul(coef, _conway(*child)))
+            for e2, c2 in _conway(*child).items():
+                for e1, c1 in coef.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        val = {e: c for e, c in acc.items() if c}
     _memo[key] = val
     return val
 

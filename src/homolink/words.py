@@ -224,11 +224,15 @@ def shift_letters(letters, i):
 
 
 def min_rotation(letters):
-    """Lexicographically smallest rotation; memo key for cyclic invariants."""
+    """Lexicographically smallest rotation; memo key for cyclic invariants.
+
+    Only a rotation that starts at the least letter can be smallest, so only
+    those are compared."""
     if not letters:
         return letters
-    m = len(letters)
-    return min(letters[k:] + letters[:k] for k in range(m))
+    lo, m = min(letters), len(letters)
+    twice = letters + letters
+    return min(twice[k:k + m] for k, x in enumerate(letters) if x == lo)
 
 
 def connected(letters, n) -> bool:

@@ -1,7 +1,10 @@
 """Exact bytes of `analyze` and `monodromy` on words that exercise every
 reading of q, alpha, homogeneity and the weak indices: a two-sign
 homogeneous word, a weak word, a mixed generator (alpha None in text, 0 in
-JSON), the mixed-sign knot 8_20, and the empty word."""
+JSON), the mixed-sign knot 8_20, and the empty word; and the sha256 of
+`analyze` on two long words, (1 -2)^30 and (1 -2 3)^12."""
+
+import hashlib
 
 import pytest
 
@@ -250,3 +253,20 @@ def test_word_report_bytes(capsys, command, word, fmt):
     code = main([command, word, "--format", fmt])
     out, err = capsys.readouterr()
     assert (code, out, err) == GOLDEN[command, word, fmt]
+
+
+@pytest.mark.parametrize("period, strands, reps, digest", [
+    ("1 -2", 3, 30,
+     "6ad7f69ebba16bb5d1fa097266f9e06790715aceb1d0f802d58a54b4eeeda617"),
+    ("1 -2 3", 4, 12,
+     "6ed5f14cbba26172650d4bcc8279ae3cf035d75d15b4599ebd84a731d2400dd8"),
+], ids=["(1 -2)^30", "(1 -2 3)^12"])
+def test_long_word_analyze_digest(capsys, period, strands, reps, digest):
+    # long words whose skein tree is cheap only when the recursion takes
+    # the cheapest admissible relation; the bytes are those of the
+    # first-pair recursion
+    word = " ".join([period] * reps)
+    code = main(["analyze", word, "--strands", str(strands)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

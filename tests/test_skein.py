@@ -1,7 +1,7 @@
 """Conway skein evaluator: anchor values, degree formula, recursion shape."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (any_words, complexity_less, cyclic_permute,
                       homogeneous_connected)
@@ -94,20 +94,42 @@ def test_reduction_step_kinds():
     assert children and all(isinstance(c, BraidWord) for c in children)
 
 
-def test_reduction_children_are_smaller():
-    w = parse_word("1 1 1 2 2 2")
-    seen = 0
+def test_smooth_pair_is_taken_before_an_earlier_exchange():
+    # the first pair in scan order, the -2 pair around the 1, is an
+    # exchange; the later adjacent -2 -2 pair smooths with two children
+    kind, children = reduction_step(parse_word("1 -2 1 -2 -2"))
+    assert kind == "smooth"
+    assert children == (parse_word("1 -2 1"), parse_word("1 -2 1 -2"))
+
+
+@example(parse_word("1 1 1 2 2 2"))
+@given(homogeneous_connected(max_n=5, max_m=10))
+@settings(max_examples=150, deadline=None)
+def test_reduction_children_are_smaller(w):
+    # whichever relation fires, every child is strictly smaller, so the
+    # walk over all distinct descendants bottoms out
+    seen = {w}
     stack = [w]
-    while stack and seen < 20000:
+    while stack and len(seen) < 20000:
         cur = stack.pop()
-        seen += 1
         kind, children = reduction_step(cur)
-        if kind in {"unknot", "split"}:
-            continue
+        assert (kind in {"unknot", "split"}) == (not children)
         for child in children:
             assert complexity_less(complexity(child), complexity(cur))
-            stack.append(child)
-    assert not stack, "recursion did not bottom out in 20000 nodes"
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    assert not stack, "recursion did not bottom out in 20000 words"
+
+
+@pytest.mark.parametrize("r", [10, 20, 40])
+def test_memo_grows_linearly_on_alternating_words(monkeypatch, r):
+    # a count, not a time: (1 -2)^r leaves 6 entries per period; taking the
+    # first admissible pair instead left 2,625 at r = 20
+    from homolink import skein
+    monkeypatch.setattr(skein, "_memo", {})
+    conway_skein(parse_word(" ".join(["1 -2"] * r)))
+    assert len(skein._memo) == 6 * r
 
 
 @given(homogeneous_connected(max_n=4, max_m=7))
