@@ -12,17 +12,15 @@ from .errors import (BraidSyntaxError, CapExceededError,
                      DisconnectedWordError, InhomogeneousWordError,
                      TableDefectError)
 from .polynomials import (ConwayPolynomial, LaurentPolynomial,
-                          conway_to_laurent, equal_up_to_unit,
-                          polynomial_from_json)
+                          equal_up_to_unit, polynomial_from_json)
 from .words import (BraidWord, component_count, is_homogeneous,
                     normalize_nonweak, parse_word, permutation, shift,
                     split_factors, weak_indices, word_from_json, word_to_json)
-from .skein import (complexity, conway_skein, degree_and_leading,
-                    reduction_step)
+from .skein import conway_skein, degree_and_leading
 from .seifert import (BraidedSurface, SeifertMatrix, alexander_from_seifert,
                       build_surface, conway_from_seifert, seifert_matrix)
 from .jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
-from .burau import alexander_via_burau, unreduced_burau
+from .burau import alexander_via_burau
 from .monodromy import (HomologyAction, action_of_word, char_poly,
                         homology_action, matrix_order, monodromy_from_seifert,
                         monodromy_order_bound, twist_sequence)
@@ -39,16 +37,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidSyntaxError", "CapExceededError", "DisconnectedWordError",
     "InhomogeneousWordError", "TableDefectError",
-    "ConwayPolynomial", "LaurentPolynomial", "conway_to_laurent",
-    "equal_up_to_unit", "polynomial_from_json",
+    "ConwayPolynomial", "LaurentPolynomial", "equal_up_to_unit",
+    "polynomial_from_json",
     "BraidWord", "component_count", "is_homogeneous", "normalize_nonweak",
     "parse_word", "permutation", "shift", "split_factors", "weak_indices",
     "word_from_json", "word_to_json",
-    "complexity", "conway_skein", "degree_and_leading", "reduction_step",
+    "conway_skein", "degree_and_leading",
     "BraidedSurface", "SeifertMatrix", "alexander_from_seifert",
     "build_surface", "conway_from_seifert", "seifert_matrix",
     "JONES_LENGTH_CAP", "jones_kauffman", "jones_polynomial",
-    "alexander_via_burau", "unreduced_burau",
+    "alexander_via_burau",
     "HomologyAction", "action_of_word", "char_poly", "homology_action",
     "matrix_order", "monodromy_from_seifert", "monodromy_order_bound",
     "twist_sequence",

@@ -3,9 +3,10 @@
 The Alexander route independent of the Seifert surface: every value the
 surface route gives, for homogeneous and mixed-sign words alike, is
 checked against this one. It also accepts split words, which have no
-connected surface. The matrix U is built letter by letter as updates of
-two columns, and the value is the determinant of the minor of I - U on
-its first n-1 rows and columns, with no strand-sum reduction and no
+connected surface. The first n-1 rows of the matrix U are built letter
+by letter as updates of two columns, and the value is the determinant of
+the minor of I - U on those rows and columns, with no strand-sum
+reduction and no
 polynomial division. For knots the output pins the Conway normalization
 exactly; for links the overall sign is not observable from the
 determinant, so values are symmetric up to that sign.
@@ -26,19 +27,21 @@ from .polynomials import LaurentPolynomial, alexander_sign, det, unpack
 from .words import BraidWord
 
 
-def _packed_rows(w: BraidWord, count: int):
-    """(rows, B, k): the first `count` rows of t^k U at t = 2^B; each row
-    evolves on its own under right multiplication."""
+def _packed_rows(w: BraidWord):
+    """(rows, B, k): the first n-1 rows of t^k U at t = 2^B, the rows the
+    minor reads; each row evolves on its own under right multiplication,
+    (a, b) -> ((1-t)a + b, t*a) in columns i and i+1 for sigma_i and
+    (a, b) -> (b/t, a + (1 - 1/t)b) for its inverse."""
     n, letters = w.strands, w.letters
     k = sum(x < 0 for x in letters)
-    bounds = [[int(r == c) for c in range(n)] for r in range(count)]
+    bounds = [[int(r == c) for c in range(n)] for r in range(n - 1)]
     for x in letters:
         i = abs(x) - 1
         for L in bounds:
             a, b = L[i], L[i + 1]
             L[i], L[i + 1] = (2 * a + b, a) if x > 0 else (b, a + 2 * b)
     B = (max(map(max, bounds), default=0) + 1).bit_length() + 1
-    rows = [[(r == c) << B * k for c in range(n)] for r in range(count)]
+    rows = [[(r == c) << B * k for c in range(n)] for r in range(n - 1)]
     for x in letters:
         i = abs(x) - 1
         for row in rows:
@@ -52,17 +55,6 @@ def _packed_rows(w: BraidWord, count: int):
     return rows, B, k
 
 
-def unreduced_burau(w: BraidWord):
-    """Unreduced Burau matrix of the word, entries {t-exponent: coeff}.
-
-    Right-multiplying by the image of a letter changes only columns i and
-    i+1 of each row, (a, b) -> ((1-t)a + b, t*a) for sigma_i and
-    (a, b) -> (b/t, a + (1 - 1/t)b) for its inverse.
-    """
-    rows, B, k = _packed_rows(w, w.strands)
-    return [[unpack(v, B, -k) for v in row] for row in rows]
-
-
 def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
     """Symmetric-normalized Alexander polynomial of the closure.
 
@@ -73,8 +65,7 @@ def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
     its adjugate has rank at most 1 and that minor is the Alexander
     polynomial times a unit +-t^k.
     """
-    n = w.strands
-    rows, B, k = _packed_rows(w, n - 1)
+    rows, B, k = _packed_rows(w)
     tk = 1 << B * k
     d = det([[unpack((tk if i == j else 0) - v, B, -k)
               for j, v in enumerate(row[:-1])] for i, row in enumerate(rows)])

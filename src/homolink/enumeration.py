@@ -10,6 +10,11 @@ shipped reference table.
 
 enumerate_words backtracks over every column sequence and dresses it
 with every sign choice (the raw count the paper's bounds speak of).
+It and symmetry_reduce are the tests' oracles for _orbits; no command
+runs them. They stay here only while perfbench/tracing.py wraps them,
+and move to tests/oracles.py when the benchmark stops doing so (ROADMAP
+item 1). words_with_counts, which enumerate_words reads, stays for
+scripts/calibrate_conventions.py, which imports it.
 _orbits is the one orbit walk, and classify reads it: it starts from the
 column sequences that are least in their symmetry orbit, generated
 directly as the necklaces (least among their rotations) that no reversed
@@ -188,14 +193,18 @@ def _sign_choices(n: int) -> tuple:
 def words_with_counts(n: int, m: int):
     """All homogeneous connected non-weak words with exactly (n, m).
 
-    Dresses each column sequence with all 2^(n-1) sign choices.
+    Dresses each column sequence with all 2^(n-1) sign choices. No command
+    runs it: enumerate_words and scripts/calibrate_conventions.py read it.
     """
     return (BraidWord(n, tuple(c * signs[c - 1] for c in seq))
             for seq in _column_sequences(n, m) for signs in _sign_choices(n))
 
 
 def enumerate_words(space: SearchSpace):
-    """Stream the space's words; degree or genus 0 is the lone empty word."""
+    """Stream the space's words; degree or genus 0 is the lone empty word.
+
+    The tests' raw-word oracle for _orbits; here only because
+    perfbench/tracing.py streams it (see the module docstring)."""
     return (w for n, m in space.lengths() for w in words_with_counts(n, m))
 
 
@@ -219,7 +228,10 @@ def orbit_canonical(letters: tuple, n: int) -> tuple:
 
 def symmetry_reduce(words) -> list:
     """One word per orbit, its orbit_canonical letters, sorted by
-    (strands, letters)."""
+    (strands, letters).
+
+    The tests' orbit oracle for _orbits; here only because
+    perfbench/tracing.py wraps it (see the module docstring)."""
     keys = {(w.strands, orbit_canonical(w.letters, w.strands)) for w in words}
     return [BraidWord(n, canon) for n, canon in sorted(keys)]
 

@@ -15,7 +15,7 @@ class DisconnectedWordError(ValueError):
     Carries the connected factors so callers can report or recurse.
     """
 
-    def __init__(self, message, factors=()):
+    def __init__(self, message, factors):
         super().__init__(message)
         self.factors = tuple(factors)
 

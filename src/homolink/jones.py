@@ -16,7 +16,9 @@ Two routes compute the same bracket:
     it needs no cap.
   * `jones_kauffman`, the test oracle, is the brute-force state sum over
     all 2^m smoothings, so its length cap is a hard refusal, not a
-    suggestion.
+    suggestion. No command runs it; it stays in the package only while
+    perfbench/tracing.py wraps it, and moves to tests/oracles.py when the
+    benchmark stops doing so (ROADMAP item 1).
 
 Exponents are quarter powers of t stored at scale 4. The chirality
 convention is fixed by sigma_1^3 -> t^-1 + t^-3 - t^-4, the left-handed
@@ -52,6 +54,8 @@ class _UnionFind:
 
 
 def jones_kauffman(w: BraidWord) -> LaurentPolynomial:
+    """Jones polynomial by the state sum: the tests' second Jones route,
+    here only because perfbench/tracing.py wraps it."""
     word, n, m = w.letters, w.strands, len(w.letters)
     if m > JONES_LENGTH_CAP:
         raise CapExceededError(f"word length {m} exceeds the Kauffman cap "

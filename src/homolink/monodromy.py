@@ -127,7 +127,12 @@ def monodromy_from_seifert(V: SeifertMatrix) -> HomologyAction:
 
 
 def action_of_word(w: BraidWord) -> HomologyAction:
-    """Twist-route action of a homogeneous connected word, one call."""
+    """Twist-route action of a homogeneous connected word, one call.
+
+    No command runs it; it stays in the package only while
+    perfbench/worker.py calls it and perfbench/tracing.py wraps it, and
+    moves to tests/oracles.py when the benchmark stops doing so (ROADMAP
+    item 1)."""
     V = seifert_matrix(build_surface(w))
     return homology_action(twist_sequence(w), V)
 

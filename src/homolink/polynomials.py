@@ -220,14 +220,6 @@ def z_extract(balanced):
     return out
 
 
-def z_substitute(conway_coeffs):
-    """Expand a z-polynomial dict under z = x - 1/x (x-exponent Laurent)."""
-    out = {}
-    for d, c in conway_coeffs.items():
-        out = add(out, {e: c * b for e, b in _zx_power(d).items()})
-    return out
-
-
 def units_equal(p, q):
     """True iff p == +- t^k * q for some exponent shift k (same scale)."""
     if not p or not q:
@@ -357,11 +349,6 @@ def polynomial_from_json(obj):
     if type(scale) is not int or scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale!r}")
     return LaurentPolynomial.from_dict(coeffs, scale=scale)
-
-
-def conway_to_laurent(poly: ConwayPolynomial) -> LaurentPolynomial:
-    """Substitute z = t^(1/2) - t^(-1/2); x-exponents are scale-2 exponents."""
-    return LaurentPolynomial.from_dict(z_substitute(poly.as_dict()), scale=2)
 
 
 def equal_up_to_unit(p: LaurentPolynomial, q: LaurentPolynomial) -> bool:

@@ -48,12 +48,12 @@ class SeifertMatrix:
     """Integer Seifert matrix indexed by the surface's basis loops.
 
     band_order lists the loop indices by the word position of each loop's
-    first band; empty means the basis order. Only symmetrized_det reads it.
+    first band. Only symmetrized_det reads it.
     """
 
     entries: tuple
     loops: tuple
-    band_order: tuple = field(default=(), compare=False)
+    band_order: tuple = field(compare=False)
 
     @property
     def dimension(self):
@@ -81,7 +81,7 @@ class SeifertMatrix:
         rows of the band.
         """
         k = self.dimension
-        pos = {a: i for i, a in enumerate(self.band_order or range(k))}
+        pos = {a: i for i, a in enumerate(self.band_order)}
         # V[a][b] = v is v*t at (a, b) and -v at (b, a)
         entries = []
         for a, row in enumerate(self.entries):

@@ -3,12 +3,12 @@
 This is the combinatorial route: no surface, no matrix, just the skein
 relation driven by the word syntax. Every step removes, smooths or slides a
 consecutive pair of same-index letters whose gap is simple enough, and each
-child word is strictly smaller in the short-lex complexity order, so the
-recursion terminates. Of the admissible pairs, a step takes the cheapest
-relation, a smooth one first, then a slide, then an exchange (see
-`_reduce`). The Seifert-matrix route in `seifert` computes the
-same polynomial by a completely different method; the test suite holds the
-two against each other.
+child word is strictly smaller in the short-lex order on the occurrence
+counts (q_{n-1}, ..., q_1), so the recursion terminates. Of the admissible
+pairs, a step takes the cheapest relation, a smooth one first, then a
+slide, then an exchange (see `_reduce`). The Seifert-matrix route in
+`seifert` computes the same polynomial by a completely different method;
+the test suite holds the two against each other.
 
 A subtlety worth recording: when the gap between the chosen pair contains a
 single letter of the neighbouring lower index with the opposite sign, the
@@ -22,15 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .polynomials import ONE, ConwayPolynomial
-from .words import (BraidWord, generator_signs, letter_counts, min_rotation,
+from .words import (BraidWord, generator_signs, min_rotation,
                     require_connected, require_homogeneous, shift_letters)
-
-
-def complexity(w: BraidWord) -> tuple:
-    """Occurrence counts (q_{n-1}, ..., q_1), compared short-lex."""
-    q = letter_counts(w.letters, w.strands)
-    return tuple(q[i] for i in range(w.strands - 1, 0, -1))
-
 
 _memo: dict = {}
 # `conway_skein` empties the memo before a call once it holds more entries
@@ -76,8 +69,8 @@ def _reduce(word, n):
 
     Returns (kind, terms): the skein relation as data, nabla(word) being
     the sum of coef * nabla(child) over terms, each term a (coefficient
-    dict in z, (letters, n)) pair. Pure syntax; the caller decides whether
-    to evaluate or report. kind is one of:
+    dict in z, (letters, n)) pair. Pure syntax; `_conway` evaluates it.
+    kind is one of:
       unknot       single strand, value 1
       split        a generator is absent, value 0
       destabilize  a generator occurs once; child is the shifted word
@@ -172,19 +165,6 @@ def conway_skein(w: BraidWord) -> ConwayPolynomial:
     if len(_memo) > _MEMO_LIMIT:
         _memo.clear()
     return ConwayPolynomial.from_dict(_conway(w.letters, w.strands))
-
-
-def reduction_step(w: BraidWord) -> tuple:
-    """(kind, children): the reduction `conway_skein` would apply first,
-    its children as BraidWords.
-
-    Shares the dispatch with the evaluator, so a test walking steps and
-    checking that every child has strictly smaller complexity exercises the
-    actual termination argument.
-    """
-    require_homogeneous(w, "reduction_step")
-    kind, terms = _reduce(w.letters, w.strands)
-    return kind, tuple(BraidWord(cn, cw) for _, (cw, cn) in terms)
 
 
 def degree_and_leading(w: BraidWord) -> tuple:

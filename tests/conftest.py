@@ -11,9 +11,10 @@ used only by the tests, so they live here and not in the package.
 import pytest
 from hypothesis import assume, strategies as st
 
-from homolink import (BraidWord, LaurentPolynomial, build_surface, classify,
-                      conway_from_seifert, entry_signature,
-                      load_reference_table, seifert_matrix)
+from homolink import (BraidWord, LaurentPolynomial, SeifertMatrix,
+                      build_surface, classify, conway_from_seifert,
+                      entry_signature, load_reference_table, seifert_matrix)
+from homolink.words import letter_counts
 
 
 @st.composite
@@ -67,8 +68,20 @@ def far_commute(w: BraidWord, j: int) -> BraidWord:
     return BraidWord(w.strands, letters)
 
 
+def complexity(w: BraidWord) -> tuple:
+    """Occurrence counts (q_{n-1}, ..., q_1), the skein recursion's
+    termination order under complexity_less."""
+    q = letter_counts(w.letters, w.strands)
+    return tuple(q[i] for i in range(w.strands - 1, 0, -1))
+
+
 def complexity_less(a: tuple, b: tuple) -> bool:
     return (len(a), a) < (len(b), b)
+
+
+def basis_order_matrix(entries, loops) -> SeifertMatrix:
+    """A hand-built Seifert matrix, eliminated in its basis order."""
+    return SeifertMatrix(entries, loops, tuple(range(len(entries))))
 
 
 def invert_t(p: LaurentPolynomial) -> LaurentPolynomial:

@@ -6,8 +6,10 @@ import runpy
 from pathlib import Path
 
 import homolink
+from test_perfbench_names import load_tracing, worker_reads
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -37,24 +39,23 @@ def test_no_second_front_end():
 
 
 # exported names that no module of the package reads, each a test oracle or
-# a seam, with the reason it stays exported
+# a seam that perfbench/ or scripts/ reads, with that reader; the oracles
+# move to tests/oracles.py once perfbench/ stops reading them
 ORACLES_AND_SEAMS = {
-    "jones_kauffman": "brute-force state sum, the tests' second Jones route",
+    "jones_kauffman": "brute-force state sum, the tests' second Jones route; "
+                      "perfbench/tracing.py wraps it",
     "enumerate_words": "raw word stream, the oracle for classify's orbit "
-                       "walk; perfbench wraps it",
-    "words_with_counts": "raw words of one (n, m), read by enumerate_words",
-    "unreduced_burau": "Burau matrix, held to the braid relations in tests",
-    "conway_to_laurent": "z = t^1/2 - t^-1/2, the tests' Conway-Alexander "
-                         "bridge",
-    "reduction_step": "one skein step, for the termination tests",
-    "complexity": "the skein recursion's termination order",
-    "action_of_word": "twist-route action in one call; perfbench reads it",
+                       "walk; perfbench/tracing.py streams it",
+    "words_with_counts": "raw words of one (n, m); "
+                         "scripts/calibrate_conventions.py imports it",
+    "action_of_word": "twist-route action in one call; perfbench/worker.py "
+                      "and perfbench/tracing.py read it",
     "symmetry_reduce": "orbit reduction of any word stream, the oracle for "
-                       "classify's orbits; perfbench wraps it",
+                       "classify's orbits; perfbench/tracing.py wraps it",
 }
 
 # unexported definitions that only the oracles above read
-ORACLE_HELPERS = {"_column_sequences", "_UnionFind", "z_substitute"}
+ORACLE_HELPERS = {"_column_sequences", "_UnionFind"}
 
 
 def _own_names(top):
@@ -147,3 +148,32 @@ def test_package_exports_what_the_program_runs():
     scopes = _scopes(statements)
     assert ORACLE_HELPERS <= {name for st in oracles
                               for _, name in _reads(*st, scopes)}
+
+
+def _outside_reads():
+    """The package names that perfbench/ and scripts/ read: the traced
+    boundaries and stream, the worker's attribute paths and the names the
+    scripts import. The files are read, not changed."""
+    tracing = load_tracing()
+    names = {attr for _, attr, _ in tracing.BOUNDARIES} | {tracing.STREAM[1]}
+    names |= {path[-1] for path in worker_reads()}
+    for path in SCRIPTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("homolink")):
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_allowlisted_name_has_a_reader_outside_the_tests():
+    # an oracle that perfbench/ and scripts/ stop reading is named here, to
+    # move to tests/oracles.py; test_package_exports_what_the_program_runs
+    # holds each helper to reads by these names alone
+    assert ORACLES_AND_SEAMS.keys() - _outside_reads() == set()
+
+
+def test_tests_run_this_checkout():
+    # pyproject.toml puts src/ on the path, so an installed copy of the
+    # package cannot stand in for the code under test
+    here = Path(homolink.__file__).resolve()
+    assert here.parent == ROOT / "src" / "homolink"

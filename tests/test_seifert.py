@@ -5,15 +5,14 @@ import json
 
 from hypothesis import assume, given, settings
 
-from conftest import (any_words, homogeneous_connected, invert_t,
-                      surface_conway)
+from conftest import (any_words, basis_order_matrix, homogeneous_connected,
+                      invert_t, surface_conway)
 from homolink.burau import alexander_via_burau
 from homolink import seifert
 from homolink.cli import main
 from homolink.polynomials import (LaurentPolynomial, det, equal_up_to_unit,
                                   pencil_det)
 from homolink.seifert import (
-    SeifertMatrix,
     alexander_from_seifert,
     build_surface,
     conway_from_seifert,
@@ -77,9 +76,9 @@ def test_seifert_matrix_figure_eight():
 
 def test_conway_from_fixed_matrices():
     loops = ((1, 1), (1, 2))
-    V = SeifertMatrix(((-1, 1), (0, -1)), loops)
+    V = basis_order_matrix(((-1, 1), (0, -1)), loops)
     assert conway_from_seifert(V).as_dict() == {2: 1, 0: 1}
-    W = SeifertMatrix(((-1, 1), (0, 1)), loops)
+    W = basis_order_matrix(((-1, 1), (0, 1)), loops)
     assert conway_from_seifert(W).as_dict() == {2: -1, 0: 1}
 
 

@@ -3,15 +3,10 @@
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import (any_words, complexity_less, cyclic_permute,
-                      homogeneous_connected)
+from conftest import (any_words, complexity, complexity_less,
+                      cyclic_permute, homogeneous_connected)
 from homolink.errors import DisconnectedWordError, InhomogeneousWordError
-from homolink.skein import (
-    complexity,
-    conway_skein,
-    degree_and_leading,
-    reduction_step,
-)
+from homolink.skein import conway_skein, degree_and_leading
 from homolink.words import (
     BraidWord,
     component_count,
@@ -20,6 +15,7 @@ from homolink.words import (
     parse_word,
     weak_indices,
 )
+from oracles import reduction_step
 
 
 def conway(text):

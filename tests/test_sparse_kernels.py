@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import any_words, homogeneous_connected, pencil_entries
+from conftest import (any_words, basis_order_matrix, homogeneous_connected,
+                      pencil_entries)
 from homolink import polynomials, seifert
 from homolink.monodromy import (_EPS, HomologyAction, action_of_word,
                                 char_poly, homology_action, matrix_order,
@@ -25,7 +26,7 @@ from homolink.monodromy import (_EPS, HomologyAction, action_of_word,
 from homolink.polynomials import (LaurentPolynomial, bareiss, identity,
                                   nonzero, pencil_det, sparse_matmul,
                                   transpose)
-from homolink.seifert import SeifertMatrix, build_surface, seifert_matrix
+from homolink.seifert import build_surface, seifert_matrix
 from homolink.words import BraidWord, connected, is_homogeneous, parse_word
 
 
@@ -136,7 +137,7 @@ def seifert_with_twists(draw):
     extra = draw(st.lists(st.sampled_from(loops), max_size=4))
     order = draw(st.permutations(list(loops) + extra))
     twists = tuple((loop, draw(st.sampled_from((1, -1)))) for loop in order)
-    return SeifertMatrix(V, loops), twists
+    return basis_order_matrix(V, loops), twists
 
 
 @given(homogeneous_connected(max_n=4, max_m=8))
@@ -323,8 +324,8 @@ def test_symmetrized_det_in_band_order_is_the_basis_order_det(w):
     V = seifert_matrix(build_surface(w))
     assert sorted(V.band_order) == list(range(V.dimension))
     assert V.symmetrized_det == basis_order_symmetrized_det(V)
-    plain = SeifertMatrix(V.entries, V.loops)
-    assert plain.band_order == () and plain == V
+    plain = basis_order_matrix(V.entries, V.loops)
+    assert plain == V
     assert plain.symmetrized_det == V.symmetrized_det
 
 

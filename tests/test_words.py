@@ -5,9 +5,8 @@ from homolink import (BraidSyntaxError, BraidWord, DisconnectedWordError,
                       InhomogeneousWordError, build_surface, component_count,
                       conway_skein, degree_and_leading, is_homogeneous,
                       normalize_nonweak, parse_word, permutation,
-                      reduction_step, seifert_matrix, shift, split_factors,
-                      twist_sequence, weak_indices, word_from_json,
-                      word_to_json)
+                      seifert_matrix, shift, split_factors, twist_sequence,
+                      weak_indices, word_from_json, word_to_json)
 from homolink.words import connected, generator_signs, letter_counts
 
 from conftest import (any_words, cyclic_permute, far_commute,
@@ -144,12 +143,10 @@ def _surface_engine(engine):
 
 
 # (name, engine, refuses a split word, refuses an inhomogeneous word) for
-# every engine that refuses either; reduction_step reports a split word as
-# a step
+# every engine that refuses either
 REFUSING_ENGINES = [
     ("normalize_nonweak", normalize_nonweak, True, False),
     ("conway_skein", conway_skein, True, True),
-    ("reduction_step", reduction_step, False, True),
     ("degree_and_leading", degree_and_leading, True, True),
     ("seifert_matrix", _surface_engine(seifert_matrix), True, False),
     ("twist_sequence", twist_sequence, True, True),
