@@ -13,14 +13,17 @@ with every sign choice (the raw count the paper's bounds speak of).
 It and symmetry_reduce are the tests' oracles for _orbits; no command
 runs them. They stay here only while perfbench/tracing.py wraps them,
 and move to tests/oracles.py when the benchmark stops doing so (ROADMAP
-item 1). words_with_counts, which enumerate_words reads, stays for
-scripts/calibrate_conventions.py, which imports it.
+item 1). words_with_counts, which enumerate_words reads, and
+orbit_canonical, which symmetry_reduce reads, stay for
+scripts/calibrate_conventions.py, which imports them.
 _orbits is the one orbit walk, and classify reads it: it starts from the
 column sequences that are least in their symmetry orbit, generated
 directly as the necklaces (least among their rotations) that no reversed
 or flipped image undercuts, and fixes the first letter's sign, so it
 meets every orbit while skipping almost all raw words (138 of 3,201
-sequences and 941 dressed words for 45,562 raw words at degree 4).
+sequences and 941 dressed words for 45,562 raw words at degree 4). The
+canonical forms of one sequence's sign choices come from _dressings,
+which builds the sequence's candidate rotations once.
 
 Letters whose columns differ by 2 or more commute, and that swap, across
 the wrap-around too, is a braid relation: it keeps the closure and so its
@@ -215,7 +218,10 @@ def orbit_canonical(letters: tuple, n: int) -> tuple:
     the word letters on n strands.
 
     The least of all those rotations starts with the least letter of the
-    eight images, so only the rotations starting there are compared.
+    eight images, so only the rotations starting there are compared. The
+    general form, for any word, mixed signs included: classify reads
+    _dressings instead, and symmetry_reduce and
+    scripts/calibrate_conventions.py read this.
     """
     if not letters:
         return letters
@@ -299,19 +305,74 @@ def _orbits(n: int, m: int, knots_only: bool):
     choice reaches again is skipped, and no other sequence reaches it. The
     component count and the gap keys depend only on the sequence, so each
     is read once per sequence.
+
+    The canonical form is the least rotation of the eight images, so it
+    starts with their least letter. Every column occurs, column n-1 too,
+    and a word or its mirror has it negative, so that letter is -(n-1).
+    Each of the four column images (identity, reversal, flip and
+    flip-reversal) carries -(n-1) under exactly one mirror, the one that
+    makes its column-(n-1) sign negative, since a column has one sign; the
+    other four images have no -(n-1) and cannot start the least rotation. The candidates are those
+    four images' rotations that start at a column-(n-1) letter. The images
+    and those positions depend only on the sequence, so _dressings builds
+    them once, and each sign choice only maps their columns to its letters
+    (_letter_tables) and compares them.
     """
     for seq in _least_sequences(n, m):
         if knots_only and component_count(BraidWord(n, seq)) != 1:
             continue
         gaps = _sequence_gaps(seq, n)
         seen = set()
-        for signs in _sign_choices(n):
-            if seq and signs[seq[0] - 1] < 0:
-                continue
-            canon = orbit_canonical(tuple(c * signs[c - 1] for c in seq), n)
+        for signs, canon in _dressings(seq, n):
             if canon not in seen:
                 seen.add(canon)
                 yield canon, _class_key(signs, m, gaps)
+
+
+def _dressings(seq: tuple, n: int):
+    """(signs, orbit_canonical letters) of seq dressed with each sign
+    choice that makes its first letter positive, the empty word's once.
+
+    The candidate rotations (see _orbits) are kept as bytes of columns
+    without repeats: those of the unflipped images (identity and
+    reversal) and those of the flipped ones (flip and flip-reversal).
+    """
+    if not seq:
+        yield (), seq
+        return
+    images = _images(seq, n)
+    unflipped, flipped = ({bytes(t[k:] + t[:k]) for t in family
+                           for k, c in enumerate(t) if c == n - 1}
+                          for family in (images[:2], images[2:]))
+    for signs, straight, turned in _letter_tables(n):
+        if signs[seq[0] - 1] < 0:
+            continue
+        least = min(min(r.translate(straight) for r in unflipped),
+                    min(r.translate(turned) for r in flipped))
+        yield signs, tuple(x - n for x in least)
+
+
+@lru_cache(maxsize=SEARCH_CAP + 1)
+def _letter_tables(n: int) -> tuple:
+    """(signs, straight, turned) for each of _sign_choices(n): the
+    bytes.translate tables that map a column c of an unflipped image, and
+    one of a flipped image, to n plus its letter under the mirror that
+    makes column n-1 negative.
+
+    Offsetting the letters by n makes them bytes that compare as the
+    letters do. A flip moves column c to n - c with its sign, so a
+    flipped image reads the signs reversed.
+    """
+    out = []
+    for signs in _sign_choices(n):
+        tables = []
+        for s in (signs, signs[::-1]):
+            table = bytearray(range(256))
+            for c in range(1, n):
+                table[c] = n - c * s[c - 1] * s[n - 2]
+            tables.append(bytes(table))
+        out.append((signs, *tables))
+    return tuple(out)
 
 
 # --- classification --------------------------------------------------------

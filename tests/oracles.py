@@ -6,7 +6,8 @@ changed along with the code it is meant to hold still.
 """
 
 from homolink.burau import _packed_rows
-from homolink.polynomials import LaurentPolynomial, mul, unpack
+from homolink.jones import _CIRCLE, _closure_loops, _normalize
+from homolink.polynomials import LaurentPolynomial, add, mul, unpack
 from homolink.skein import _reduce
 from homolink.words import BraidWord
 
@@ -40,3 +41,45 @@ def reduction_step(w: BraidWord) -> tuple:
     its children as BraidWords."""
     kind, terms = _reduce(w.letters, w.strands)
     return kind, tuple(BraidWord(n, letters) for _, (letters, n) in terms)
+
+
+def jones_transfer_dicts(w: BraidWord) -> LaurentPolynomial:
+    """The Temperley-Lieb transfer of `jones_polynomial` with each bracket
+    weight a dict {A-exponent: coeff}, added term by term: the second
+    route for words past the state sum's length cap."""
+    n = w.strands
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): {0: 1}}
+    for x in w.letters:
+        b = n + abs(x) - 1
+        cup = 1 if x > 0 else -1  # A-exponent of the e_i smoothing
+        nxt = {}
+        for p, weight in states.items():
+            _accumulate(nxt, p, weight, -cup, False)
+            q = list(p)
+            u, v = q[b], q[b + 1]
+            loop = u == b + 1  # the cap closes bottom b onto bottom b + 1
+            if not loop:
+                q[u], q[v] = v, u
+            q[b], q[b + 1] = b + 1, b
+            _accumulate(nxt, tuple(q), weight, cup, loop)
+        states = nxt
+    total = {}
+    for p, weight in states.items():
+        for _ in range(_closure_loops(p, n) - 1):
+            weight = mul(weight, _CIRCLE)
+        total = add(total, weight)
+    return _normalize(total, w.letters)
+
+
+def _accumulate(states, key, weight, shift, loop):
+    """states[key] += A^shift * weight, times d when a loop closed."""
+    acc = states.get(key)
+    if acc is None:
+        acc = states[key] = {}
+    if loop:
+        for e, c in weight.items():
+            acc[e + shift + 2] = acc.get(e + shift + 2, 0) - c
+            acc[e + shift - 2] = acc.get(e + shift - 2, 0) - c
+    else:
+        for e, c in weight.items():
+            acc[e + shift] = acc.get(e + shift, 0) + c

@@ -235,6 +235,19 @@ def test_enumerate_json_golden(capsys, mode, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, value, digest", [
+    ("--degree", "4",
+     "1d79fda7f6679d2242fdbab49ea9a77778b098ad2f0fa8b17ca052cf12fbd397"),
+    ("--genus", "2",
+     "84a65800af8844563eabfdff418befafd1abc16e3d522f0221bc851ecccf38d6"),
+])
+def test_enumerate_text_golden(capsys, mode, value, digest):
+    # the default text reports of degree 4 and genus 2, pinned byte for byte
+    code, out, _ = run(capsys, "enumerate", mode, value)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_enumerate_degree_five_text_golden(capsys):
     # the largest space under the cap, pinned byte for byte
     code, out, _ = run(capsys, "enumerate", "--degree", "5")

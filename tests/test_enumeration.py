@@ -1,7 +1,7 @@
 """Search spaces, symmetry reduction, signatures and classification."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (any_words, check_membership, cyclic_permute, far_commute,
                       find_entry, homogeneous_connected)
@@ -21,9 +21,11 @@ from homolink.enumeration import (
     report_to_json,
     symmetry_reduce,
     _column_sequences,
+    _dressings,
     _gap_key,
     _least_sequences,
     _orbits,
+    _sign_choices,
 )
 from homolink.errors import CapExceededError
 from homolink.words import (BraidWord, component_count, connected,
@@ -202,6 +204,37 @@ def test_orbit_canonical_is_the_least_of_all_rotations():
 def test_orbit_canonical_property(w):
     # any word, weak, inhomogeneous and empty ones included
     assert orbit_canonical(w.letters, w.strands) == _brute_canonical(w)
+
+
+@st.composite
+def column_sequences(draw):
+    """(n, sequence): n = 2..6 strands, every column 1..n-1 at least twice,
+    in any order."""
+    n = draw(st.integers(2, 6))
+    counts = draw(st.lists(st.integers(2, 4), min_size=n - 1,
+                           max_size=n - 1))
+    cols = [c for c, q in enumerate(counts, 1) for _ in range(q)]
+    return n, tuple(draw(st.permutations(cols)))
+
+
+@given(column_sequences())
+@settings(max_examples=150, deadline=None)
+@example((2, (1, 1)))            # n = 2: the flip is the identity
+@example((2, (1, 1, 1, 1, 1)))
+@example((3, (2, 1, 2, 1)))
+@example((1, ()))                # the empty degree-0 word
+def test_dressings_are_the_least_of_all_rotations(case):
+    # the per-sequence rotations and letter tables against the full 8m
+    # rotations, for every sign choice: one whose first letter is negative
+    # is the mirror of a dressed one, and shares its canonical form
+    n, seq = case
+    dressed = dict(_dressings(seq, n))
+    assert len(dressed) == (1 << max(n - 2, 0))
+    for signs in _sign_choices(n):
+        w = BraidWord(n, tuple(c * signs[c - 1] for c in seq))
+        lead = signs[seq[0] - 1] if seq else 1
+        assert (dressed[tuple(lead * s for s in signs)]
+                == _brute_canonical(w)), w
 
 
 def _class_key_oracle(w):

@@ -1,16 +1,20 @@
 """Kauffman-bracket Jones values and their invariance properties.
 
 `jones_kauffman` (the 2^m state sum) is the oracle; `jones_polynomial`
-(the Temperley-Lieb transfer) must equal it wherever the oracle reaches,
-and keeps the invariance properties at lengths the oracle cannot reach.
+(the Temperley-Lieb transfer on packed integers) must equal it wherever
+the oracle reaches. Past the state sum's cap it must equal the same
+transfer on dict weights (`oracles.jones_transfer_dicts`), and it keeps
+the invariance properties.
 """
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import any_words, cyclic_permute, far_commute, invert_t
+from oracles import jones_transfer_dicts
 from homolink.errors import CapExceededError
 from homolink.jones import JONES_LENGTH_CAP, jones_kauffman, jones_polynomial
 from homolink.words import (
@@ -132,3 +136,23 @@ def test_transfer_invariances_past_the_oracle(w, k, s):
     assert jones_polynomial(cyclic_permute(w, k)) == base
     total = sum(base.as_dict().values())
     assert total == (-2) ** (component_count(w) - 1)
+
+
+def _seeded_word(n, m, seed):
+    """A mixed-sign word of m letters on n strands from random.Random(seed)."""
+    rng = random.Random(seed)
+    return BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                              for _ in range(m)))
+
+
+@given(length_40_words())
+@settings(max_examples=40, deadline=None)
+@example(_seeded_word(4, 80, 1))
+@example(_seeded_word(6, 40, 2))
+@example(BraidWord(4, (1, 2, 3) * 26 + (1, 1)))  # positive: no cancellation
+@example(BraidWord(3, (1, -2) * 40))  # alternating: coefficients near 2^52
+def test_packed_transfer_equals_dict_transfer(w):
+    # the packed weights must read back as the term-by-term weights at
+    # lengths where the state sum refuses; a digit width short of the
+    # docstring's bound shows on the alternating word
+    assert jones_polynomial(w) == jones_transfer_dicts(w)

@@ -52,10 +52,13 @@ ORACLES_AND_SEAMS = {
                       "and perfbench/tracing.py read it",
     "symmetry_reduce": "orbit reduction of any word stream, the oracle for "
                        "classify's orbits; perfbench/tracing.py wraps it",
+    "orbit_canonical": "orbit canonical form of any word, mixed signs "
+                       "included; scripts/calibrate_conventions.py imports "
+                       "it and symmetry_reduce reads it",
 }
 
 # unexported definitions that only the oracles above read
-ORACLE_HELPERS = {"_column_sequences", "_UnionFind"}
+ORACLE_HELPERS = {"_column_sequences", "_UnionFind", "_CIRCLE", "add"}
 
 
 def _own_names(top):
