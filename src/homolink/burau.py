@@ -6,41 +6,36 @@ checked against this one. It also accepts split words, which have no
 connected surface. The first n-1 rows of the matrix U are built letter
 by letter as updates of two columns, and the value is the determinant of
 the minor of I - U on those rows and columns, with no strand-sum
-reduction and no
-polynomial division. For knots the output pins the Conway normalization
-exactly; for links the overall sign is not observable from the
-determinant, so values are symmetric up to that sign.
+reduction and no polynomial division. For knots the output pins the
+Conway normalization exactly; for links the overall sign is not
+observable from the determinant, so values are symmetric up to that sign.
 
-The product runs on integers: each row holds t^k U at t = 2^B, with k the
-number of inverse letters. Evaluation is a ring map, so t is a left shift
-by B bits, and the factor t^k keeps every entry a polynomial: before the
-j-th inverse letter each entry is a multiple of t^(k-j+1), so its 1/t is
-an exact right shift. B need only let `unpack` read the digits back. The
-l1 norms L of a row's entries obey (L_i, L_i+1) -> (2L_i + L_i+1, L_i)
-for sigma_i and (L_i+1, L_i + 2L_i+1) for its inverse, which bounds every
-coefficient of U, and one unit more bounds those of I - U.
+It runs in one pass on integers at t = 2^B, exact at any B since
+evaluation is a ring map; each row holds t^k U, k the number of inverse
+letters, so 1/t is an exact right shift. B need only let `unpack` read
+back the minor, a unit times the Alexander polynomial. A connected word
+closes on the braided surface of `seifert`, of first Betti number
+g = m - n + 1, whose Seifert matrix V has entries in {-1, 0, 1}, one of
+V[a][b], V[b][a] zero and at most 6 links per loop: by Hadamard on
+tV - V^T (row l1 norms squared at most 2^2 + 6) no coefficient exceeds
+isqrt(10^g). B rests on that theorem, not on a value `seifert` computes,
+so the two routes share no code and neither can hide a fault of the other.
 """
 
 from __future__ import annotations
 
-from .polynomials import LaurentPolynomial, alexander_sign, det, unpack
+from math import gcd, isqrt
+
+from .polynomials import LaurentPolynomial, alexander_sign, bareiss, unpack
 from .words import BraidWord
 
 
-def _packed_rows(w: BraidWord):
-    """(rows, B, k): the first n-1 rows of t^k U at t = 2^B, the rows the
-    minor reads; each row evolves on its own under right multiplication,
-    (a, b) -> ((1-t)a + b, t*a) in columns i and i+1 for sigma_i and
+def _packed_rows(w: BraidWord, B):
+    """(rows, k): the first n-1 rows of t^k U at t = 2^B, each updated
+    on its own: (a, b) -> ((1-t)a + b, t*a) in columns i, i+1 for sigma_i,
     (a, b) -> (b/t, a + (1 - 1/t)b) for its inverse."""
     n, letters = w.strands, w.letters
     k = sum(x < 0 for x in letters)
-    bounds = [[int(r == c) for c in range(n)] for r in range(n - 1)]
-    for x in letters:
-        i = abs(x) - 1
-        for L in bounds:
-            a, b = L[i], L[i + 1]
-            L[i], L[i + 1] = (2 * a + b, a) if x > 0 else (b, a + 2 * b)
-    B = (max(map(max, bounds), default=0) + 1).bit_length() + 1
     rows = [[(r == c) << B * k for c in range(n)] for r in range(n - 1)]
     for x in letters:
         i = abs(x) - 1
@@ -52,7 +47,7 @@ def _packed_rows(w: BraidWord):
             else:
                 b_t = b >> B
                 row[i], row[i + 1] = b_t, a + b - b_t
-    return rows, B, k
+    return rows, k
 
 
 def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
@@ -63,14 +58,18 @@ def alexander_via_burau(w: BraidWord) -> LaurentPolynomial:
     alexander_from_seifert. No division is needed: I - U kills the
     all-ones column, and (1, t, ..., t^(n-1)) kills it from the left, so
     its adjugate has rank at most 1 and that minor is the Alexander
-    polynomial times a unit +-t^k.
+    polynomial times a unit. So is the power of t that a row's entries
+    share, the power of 2^B in their gcd, which is shifted out.
     """
-    rows, B, k = _packed_rows(w)
-    tk = 1 << B * k
-    d = det([[unpack((tk if i == j else 0) - v, B, -k)
-              for j, v in enumerate(row[:-1])] for i, row in enumerate(rows)])
-    if not d:
-        return LaurentPolynomial.from_dict({}, scale=2)
-    lo2, hi2 = 2 * min(d), 2 * max(d)
-    centered = {2 * e - (lo2 + hi2) // 2: c for e, c in d.items()}
+    B = isqrt(10 ** max(len(w.letters) - w.strands + 1, 0)).bit_length() + 1
+    rows, k = _packed_rows(w, B)
+    for r, row in enumerate(rows):
+        row.pop()
+        row[r] -= 1 << B * k  # U - I, whose minor is I - U's up to sign
+        g = gcd(*row) or 1  # a zero row, whose minor is 0, is not shifted
+        s = ((g & -g).bit_length() - 1) // B * B
+        rows[r] = [v >> s for v in row]
+    d = unpack(bareiss(rows), B, 0)
+    mid = min(d, default=0) + max(d, default=0)
+    centered = {2 * e - mid: c for e, c in d.items()}
     return LaurentPolynomial.from_dict(alexander_sign(centered), scale=2)

@@ -11,10 +11,10 @@ with int keys and no stored zeros:
 All hot loops work on the raw dicts. The wrapper classes below fix the scale
 and keep a sorted coefficient tuple, so values are hashable, comparable and
 printable. Determinants are exact (no floats anywhere) and all run on one
-integer elimination, `bareiss`, which `pencil_det` reaches from a polynomial
-matrix's (row, col, coefficient, exponent) entries. Both pencils, the
-Seifert det(tV - V^T) and det(tI - M), are listed at t with exponents 0
-and 1. The only other matrix code is here: `transpose` and `identity` on
+integer elimination, `bareiss`: Burau packs its minor for it, and
+`pencil_det` packs a matrix of (row, col, coefficient, exponent) entries,
+as both pencils, the Seifert det(tV - V^T) and det(tI - M), are listed.
+The only other matrix code is here: `transpose` and `identity` on
 integer tuples, and `sparse_matmul`, the one matrix product, which reads
 its left factor as `nonzero` pairs. `unpack` is the one digit reader of
 polynomials packed at t = 2^B.

@@ -28,8 +28,8 @@ from .words import (BraidWord, generator_signs, min_rotation,
 _memo: dict = {}
 # `conway_skein` empties the memo before a call once it holds more entries
 # than this, which bounds it over a long run (a single call may still pass
-# it); 3,000 short words fill about 3,400 entries, (1 -2)^r fills 6r and
-# (1 -2 3)^12 about 19,400.
+# it); 3,000 short words fill about 3,400 entries, (1 -2)^r fills 6r,
+# (1 -2 3)^12 about 1,000 and (1 -2 3 -4)^6 about 13,000.
 _MEMO_LIMIT = 1 << 17
 
 
@@ -42,7 +42,7 @@ def _between(ps, p1, p2):
 
 def _admissible(word, pos, n):
     """Admissible consecutive same-index pairs, in scan order: smallest
-    index first, leftmost pair first, wrap-around pair last.
+    index first, then the wrap-around pair, then leftmost pair first.
 
     Yields (rank, p1, p2, pl): rank 0 for a smooth pair, whose gap holds no
     letter of index j+1 or j-1; 1 for a slide and 2 for an exchange, whose
@@ -51,8 +51,8 @@ def _admissible(word, pos, n):
     """
     for j in range(1, n):
         ps, up, down = pos[j], pos[j + 1], pos[j - 1]
-        for t, p1 in enumerate(ps):
-            p2 = ps[t + 1 - len(ps)]
+        for t in range(-1, len(ps) - 1):
+            p1, p2 = ps[t], ps[t + 1]
             if _between(up, p1, p2):
                 continue
             low = _between(down, p1, p2)
@@ -84,7 +84,8 @@ def _reduce(word, n):
     the first slide (one child), else the first exchange (four children).
     On `(1 -2)^r` the first pair in scan order is always an exchange, and
     taking it made the memo grow exponentially in r; this choice leaves 6r
-    entries.
+    entries, and scanning each index's wrap-around pair first keeps
+    `(1 -2 3)^r` linear too, though not `(1 -2 3 -4)^r`.
     """
     if n == 1:
         return "unknot", ()

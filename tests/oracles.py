@@ -7,17 +7,52 @@ changed along with the code it is meant to hold still.
 
 from homolink.burau import _packed_rows
 from homolink.jones import _CIRCLE, _closure_loops, _normalize
-from homolink.polynomials import LaurentPolynomial, add, mul, unpack
+from homolink.polynomials import (LaurentPolynomial, add, alexander_sign, det,
+                                  mul, unpack)
 from homolink.skein import _reduce
 from homolink.words import BraidWord
 
 
+def _letter_width(w: BraidWord):
+    """A width B at which every coefficient of U, and of I - U, reads back:
+    the l1 norms L of a row's entries obey (L_i, L_i+1) -> (2L_i + L_i+1,
+    L_i) for sigma_i and (L_i+1, L_i + 2L_i+1) for its inverse, which
+    bounds every coefficient of U, and one unit more bounds those of
+    I - U."""
+    n = w.strands
+    bounds = [[int(r == c) for c in range(n)] for r in range(n - 1)]
+    for x in w.letters:
+        i = abs(x) - 1
+        for L in bounds:
+            a, b = L[i], L[i + 1]
+            L[i], L[i + 1] = (2 * a + b, a) if x > 0 else (b, a + 2 * b)
+    return (max(map(max, bounds), default=0) + 1).bit_length() + 1
+
+
 def burau_rows(w: BraidWord):
-    """The first n-1 rows of the unreduced Burau matrix U that
-    `alexander_via_burau` builds, entries {t-exponent: coeff}. They fix
+    """The first n-1 rows of the unreduced Burau matrix U, entries
+    {t-exponent: coeff}, read back at the letter-bound width. They fix
     the last row, since (1, t, ..., t^(n-1)) U = (1, t, ..., t^(n-1))."""
-    rows, B, k = _packed_rows(w)
+    B = _letter_width(w)
+    rows, k = _packed_rows(w, B)
     return [[unpack(v, B, -k) for v in row] for row in rows]
+
+
+def burau_two_pass(w: BraidWord) -> LaurentPolynomial:
+    """`alexander_via_burau` by two packings and no surface bound: every
+    entry of the minor of I - U read back into a Laurent dict at the
+    letter-bound width, then `det` packs them again at the Hadamard width
+    of their own coefficients. Centered and sign-normalized the same way."""
+    B = _letter_width(w)
+    rows, k = _packed_rows(w, B)
+    tk = 1 << B * k
+    d = det([[unpack((tk if i == j else 0) - v, B, -k)
+              for j, v in enumerate(row[:-1])] for i, row in enumerate(rows)])
+    if not d:
+        return LaurentPolynomial.from_dict({}, scale=2)
+    lo2, hi2 = 2 * min(d), 2 * max(d)
+    centered = {2 * e - (lo2 + hi2) // 2: c for e, c in d.items()}
+    return LaurentPolynomial.from_dict(alexander_sign(centered), scale=2)
 
 
 def z_substitute(conway_coeffs):

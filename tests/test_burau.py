@@ -1,6 +1,7 @@
 """Unreduced-Burau Alexander route, the engine that works on any braid word."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 
 from conftest import (any_words, cyclic_permute, homogeneous_connected,
                       invert_t)
@@ -9,7 +10,7 @@ from homolink.polynomials import (ONE, add, det, eshift, mul, neg,
                                   units_equal)
 from homolink.skein import conway_skein
 from homolink.words import BraidWord, component_count, parse_word
-from oracles import burau_rows, conway_to_laurent
+from oracles import burau_rows, burau_two_pass, conway_to_laurent
 
 
 def sub(a, b):
@@ -92,6 +93,38 @@ def test_matches_reference_on_all_inverse_words():
         assert_matches_reference(BraidWord(n, down[::-1] * reps))
     assert_matches_reference(BraidWord(10, tuple(range(1, 10)) * 2
                                        + tuple(range(-1, -10, -1)) * 2))
+
+
+@given(any_words(max_n=7, max_m=40))
+@settings(max_examples=200, deadline=None)
+@example(BraidWord(1, ()))
+@example(BraidWord(4, ()))
+@example(BraidWord(4, (1, -1, 3, 3)))
+@example(BraidWord(5, (2, -1, 2, -4, -4, 1)))
+def test_one_pass_matches_two_pass(w):
+    # the surface width reads back what the letter-bound width and a second
+    # packing read, split words (value 0) and one strand included
+    assert alexander_via_burau(w) == burau_two_pass(w), w
+
+
+SEED_7_WORD = (  # perfbench.inputs.random_word(random.Random(7), 6, 70)
+    "-3 -2 -4 -1 -1 -5 -1 -3 -5 -1 -5 -2 -1 -1 -4 -4 -1 -2 -1 -5 -4 -1 -5 "
+    "-1 -2 -5 -1 -5 -5 -4 -1 -2 -1 -5 -2 -3 -4 -2 -5 -1 -5 -3 -5 -2 -1 -5 "
+    "-5 -2 -3 -1 -5 -1 -5 -1 -5 -2 -4 -5 -4 -3 -4 -5 -4 -3 -3 -2 -2 -2 -1 -5")
+
+LONG_WORDS = {
+    "(1 -2)^30": BraidWord(3, (1, -2) * 30),
+    "sigma1^120": BraidWord(2, (1,) * 120),
+    "sigma1^-120": BraidWord(2, (-1,) * 120),
+    "(-1 ... -9)^20": BraidWord(10, tuple(range(-1, -10, -1)) * 20),
+    "seed 7, 6 strands, m = 70": parse_word(SEED_7_WORD),
+}
+
+
+@pytest.mark.parametrize("name", LONG_WORDS)
+def test_one_pass_matches_two_pass_on_long_words(name):
+    w = LONG_WORDS[name]
+    assert alexander_via_burau(w) == burau_two_pass(w)
 
 
 def alex(text, strands=None):

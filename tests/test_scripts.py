@@ -60,6 +60,14 @@ ORACLES_AND_SEAMS = {
 # unexported definitions that only the oracles above read
 ORACLE_HELPERS = {"_column_sequences", "_UnionFind", "_CIRCLE", "add"}
 
+# unexported definitions that no module of the package reads, kept so that
+# a reader outside the tests still resolves them, with that reader
+TRACED_SEAMS = {
+    "det": "determinant of a Laurent-dict matrix, no package caller since "
+           "Burau packs its own minor; perfbench/tracing.py wraps it and "
+           "tests/test_perfbench_names.py asserts that boundary",
+}
+
 
 def _own_names(top):
     """The names a top-level statement defines."""
@@ -146,7 +154,8 @@ def test_package_exports_what_the_program_runs():
     # __version__ is package metadata, not code
     exported = {name for name in homolink.__all__ if not name.startswith("__")}
     assert exported & unread == ORACLES_AND_SEAMS.keys()
-    assert unread == ORACLES_AND_SEAMS.keys() | ORACLE_HELPERS
+    assert unread == (ORACLES_AND_SEAMS.keys() | TRACED_SEAMS.keys()
+                      | ORACLE_HELPERS)
     oracles = [st for st in statements if _own_keys(*st) & skip]
     scopes = _scopes(statements)
     assert ORACLE_HELPERS <= {name for st in oracles
@@ -172,7 +181,8 @@ def test_every_allowlisted_name_has_a_reader_outside_the_tests():
     # an oracle that perfbench/ and scripts/ stop reading is named here, to
     # move to tests/oracles.py; test_package_exports_what_the_program_runs
     # holds each helper to reads by these names alone
-    assert ORACLES_AND_SEAMS.keys() - _outside_reads() == set()
+    allowed = ORACLES_AND_SEAMS.keys() | TRACED_SEAMS.keys()
+    assert allowed - _outside_reads() == set()
 
 
 def test_tests_run_this_checkout():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from math import isqrt
 
 from hypothesis import assume, given, settings
 
@@ -163,6 +164,25 @@ def test_surface_route_matches_burau(w):
     assume(connected(w.letters, w.strands))
     V = seifert_matrix(build_surface(w))
     assert alexander_from_seifert(V) == alexander_via_burau(w)
+
+
+@given(any_words(max_n=7, max_m=30))
+@settings(max_examples=150, deadline=None)
+def test_surface_facts_that_fix_the_burau_width(w):
+    # Burau's packing width reads the Alexander coefficient bound
+    # isqrt(10^k) off these facts, so a change of surface conventions that
+    # breaks one fails here
+    assume(connected(w.letters, w.strands))
+    S = seifert_matrix(build_surface(w))
+    V, k = S.entries, S.dimension
+    assert k == len(w.letters) - w.strands + 1
+    for a, row in enumerate(V):
+        assert set(row) <= {-1, 0, 1}
+        linked = [b for b in range(k) if b != a and (row[b] or V[b][a])]
+        assert all(not (row[b] and V[b][a]) for b in linked)
+        assert len(linked) <= 6
+    bound = isqrt(10 ** k)
+    assert all(abs(c) <= bound for _, c in alexander_from_seifert(S).coeffs)
 
 
 def test_inhomogeneous_8_20():

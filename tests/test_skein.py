@@ -91,8 +91,8 @@ def test_reduction_step_kinds():
 
 
 def test_smooth_pair_is_taken_before_an_earlier_exchange():
-    # the first pair in scan order, the -2 pair around the 1, is an
-    # exchange; the later adjacent -2 -2 pair smooths with two children
+    # the first pairs in scan order, the -2 pairs around a 1, are
+    # exchanges; the later adjacent -2 -2 pair smooths with two children
     kind, children = reduction_step(parse_word("1 -2 1 -2 -2"))
     assert kind == "smooth"
     assert children == (parse_word("1 -2 1"), parse_word("1 -2 1 -2"))
@@ -126,6 +126,19 @@ def test_memo_grows_linearly_on_alternating_words(monkeypatch, r):
     monkeypatch.setattr(skein, "_memo", {})
     conway_skein(parse_word(" ".join(["1 -2"] * r)))
     assert len(skein._memo) == 6 * r
+
+
+@pytest.mark.parametrize("r, entries", [(8, 556), (12, 1019), (16, 1482),
+                                        (20, 1945)])
+def test_memo_grows_linearly_on_three_index_alternating_words(
+        monkeypatch, r, entries):
+    # a count, not a time: scanning each index's wrap-around pair first
+    # keeps (1 -2 3)^r linear; scanning it last left 1,487, 19,384 and
+    # 205,390 entries at r = 8, 12 and 16
+    from homolink import skein
+    monkeypatch.setattr(skein, "_memo", {})
+    conway_skein(parse_word(" ".join(["1 -2 3"] * r)))
+    assert len(skein._memo) == entries
 
 
 @given(homogeneous_connected(max_n=4, max_m=7))
