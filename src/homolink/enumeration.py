@@ -57,10 +57,10 @@ two closures with equal signatures are reported as one class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceededError
+from .record import Record, set_field
 from .reference import LinkSignature, link_signature, signature_index
 from .words import BraidWord, component_count, word_text, word_to_json
 
@@ -72,18 +72,21 @@ SEARCH_CAP = 5
 BOUND_CAP = 715
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(Record):
     """Degree-k or genus-g (Conway degree 2g) window; exactly one is set."""
 
-    degree: int | None = None
-    genus: int | None = None
+    __slots__ = ("degree", "genus")
 
-    def __post_init__(self):
-        if (self.degree is None) == (self.genus is None):
+    def __init__(self, degree: int | None = None, genus: int | None = None):
+        set_field(self, "degree", degree)
+        set_field(self, "genus", genus)
+        if (degree is None) == (genus is None):
             raise ValueError("set exactly one of degree or genus")
         if self.conway_degree < 0:
             raise ValueError("search parameter must be non-negative")
+
+    def _key(self):
+        return (self.degree, self.genus)
 
     @property
     def conway_degree(self):
@@ -377,19 +380,30 @@ def _letter_tables(n: int) -> tuple:
 
 # --- classification --------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinkClass:
-    signature: LinkSignature
-    representative: BraidWord
-    matched: str
-    size: int
+class LinkClass(Record):
+    __slots__ = ("signature", "representative", "matched", "size")
+
+    def __init__(self, signature: LinkSignature, representative: BraidWord,
+                 matched: str, size: int):
+        set_field(self, "signature", signature)
+        set_field(self, "representative", representative)
+        set_field(self, "matched", matched)
+        set_field(self, "size", size)
+
+    def _key(self):
+        return (self.signature, self.representative, self.matched, self.size)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    space: SearchSpace
-    classes: tuple
-    notes: tuple = ()
+class ClassificationReport(Record):
+    __slots__ = ("space", "classes", "notes")
+
+    def __init__(self, space: SearchSpace, classes: tuple, notes: tuple = ()):
+        set_field(self, "space", space)
+        set_field(self, "classes", classes)
+        set_field(self, "notes", notes)
+
+    def _key(self):
+        return (self.space, self.classes, self.notes)
 
 
 def classify(space: SearchSpace) -> ClassificationReport:

@@ -27,11 +27,11 @@ test pins it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .polynomials import (LaurentPolynomial, bareiss, identity, nonzero,
                           pencil_det, sparse_matmul, transpose)
+from .record import Record, set_field
 from .seifert import SeifertMatrix, build_surface, seifert_matrix
 from .words import (BraidWord, generator_signs, letter_counts,
                     require_connected, require_homogeneous)
@@ -39,12 +39,17 @@ from .words import (BraidWord, generator_signs, letter_counts,
 _EPS = 1  # transvection sign for a positive twist, calibrated
 
 
-@dataclass(frozen=True)
-class HomologyAction:
+class HomologyAction(Record):
     """Integer matrix of the monodromy on H1 of the fiber, with its form."""
 
-    matrix: tuple
-    intersection_form: tuple
+    __slots__ = ("matrix", "intersection_form")
+
+    def __init__(self, matrix: tuple, intersection_form: tuple):
+        set_field(self, "matrix", matrix)
+        set_field(self, "intersection_form", intersection_form)
+
+    def _key(self):
+        return (self.matrix, self.intersection_form)
 
     @property
     def dimension(self):

@@ -9,11 +9,13 @@ with int keys and no stored zeros:
   * Jones polynomials in t: exponents scaled by 4 (quarter powers).
 
 All hot loops work on the raw dicts. The wrapper classes below fix the scale
-and keep a sorted coefficient tuple, so values are hashable, comparable and
-printable. Determinants are exact (no floats anywhere) and all run on one
-integer elimination, `bareiss`: Burau packs its minor for it, and
-`pencil_det` packs a matrix of (row, col, coefficient, exponent) entries,
-as both pencils, the Seifert det(tV - V^T) and det(tI - M), are listed.
+and keep a sorted coefficient tuple; they are `record.Record`s, so values
+are hashable, comparable and immutable, and `_Polynomial` prints them,
+reducing each exponent e/scale by math.gcd. Determinants are exact (no
+floats anywhere) and all run on one integer elimination, `bareiss`: Burau
+packs its minor for it, and `pencil_det` packs a matrix of (row, col,
+coefficient, exponent) entries, as both pencils, the Seifert
+det(tV - V^T) and det(tI - M), are listed.
 The only other matrix code is here: `transpose` and `identity` on
 integer tuples, and `sparse_matmul`, the one matrix product, which reads
 its left factor as `nonzero` pairs. `unpack` is the one digit reader of
@@ -23,9 +25,9 @@ polynomials packed at t = 2^B.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
+
+from .record import Record, set_field
 
 ONE = {0: 1}
 
@@ -244,9 +246,11 @@ def _sorted_items(coeffs):
     return tuple(sorted((int(e), int(c)) for e, c in coeffs.items() if c))
 
 
-class _Polynomial:
+class _Polynomial(Record):
     """Printing and serialization shared by the two value classes: c at
     exponent e stands for c * var^(e/scale)."""
+
+    __slots__ = ()
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -260,12 +264,13 @@ class _Polynomial:
         parts = []
         for e, c in sorted(self.coeffs, reverse=True):
             mag = abs(c)
-            ex = Fraction(e, self.scale)
-            if ex == 0:
+            if e == 0:
                 body = str(mag)
             else:
-                var = (self.var if ex == 1 else f"{self.var}^({ex})"
-                       if ex.denominator > 1 else f"{self.var}^{ex}")
+                g = gcd(e, self.scale)
+                num, den = e // g, self.scale // g
+                var = (self.var if num == den == 1 else f"{self.var}^{num}"
+                       if den == 1 else f"{self.var}^({num}/{den})")
                 body = var if mag == 1 else f"{mag}*{var}"
             parts.append(("- " if c < 0 else "+ ") + body)
         head = parts[0]
@@ -277,16 +282,21 @@ class _Polynomial:
                 "coeffs": {str(e): c for e, c in self.coeffs}}
 
 
-@dataclass(frozen=True)
 class ConwayPolynomial(_Polynomial):
     """Integer polynomial in z, coefficients sorted by ascending degree.
 
     The zero polynomial has an empty coefficient tuple and degree None.
     """
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
     var = "z"
     scale = 1
+
+    def __init__(self, coeffs: tuple = ()):
+        set_field(self, "coeffs", coeffs)
+
+    def _key(self):
+        return (self.coeffs,)
 
     @classmethod
     def from_dict(cls, d):
@@ -301,7 +311,6 @@ class ConwayPolynomial(_Polynomial):
         return self.coeffs[-1][1] if self.coeffs else 0
 
 
-@dataclass(frozen=True)
 class LaurentPolynomial(_Polynomial):
     """Integer Laurent polynomial in t with scaled exponents.
 
@@ -309,9 +318,15 @@ class LaurentPolynomial(_Polynomial):
     values (half powers) and 4 for Jones (quarter powers).
     """
 
-    scale: int = 2
-    coeffs: tuple = ()
+    __slots__ = ("scale", "coeffs")
     var = "t"
+
+    def __init__(self, scale: int = 2, coeffs: tuple = ()):
+        set_field(self, "scale", scale)
+        set_field(self, "coeffs", coeffs)
+
+    def _key(self):
+        return (self.scale, self.coeffs)
 
     @classmethod
     def from_dict(cls, d, scale=2):

@@ -19,7 +19,6 @@ import json
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
@@ -27,19 +26,27 @@ from .burau import alexander_via_burau
 from .errors import TableDefectError
 from .jones import jones_polynomial
 from .polynomials import LaurentPolynomial, eshift, polynomial_from_json
+from .record import Record, set_field
 from .seifert import (alexander_from_seifert, build_surface,
                       conway_from_seifert, seifert_matrix)
 from .words import (BraidWord, component_count, connected, word_from_json,
                     word_to_json)
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
-    name: str
-    word: BraidWord
-    verified: bool
-    published_alexander: LaurentPolynomial
-    note: str = ""
+class ReferenceEntry(Record):
+    __slots__ = ("name", "word", "verified", "published_alexander", "note")
+
+    def __init__(self, name: str, word: BraidWord, verified: bool,
+                 published_alexander: LaurentPolynomial, note: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "word", word)
+        set_field(self, "verified", verified)
+        set_field(self, "published_alexander", published_alexander)
+        set_field(self, "note", note)
+
+    def _key(self):
+        return (self.name, self.word, self.verified,
+                self.published_alexander, self.note)
 
 
 def parse_entry(obj: dict) -> ReferenceEntry:
@@ -143,8 +150,7 @@ def write_table(entries, path):
 
 # --- signatures ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinkSignature:
+class LinkSignature(Record):
     """Mirror-insensitive equality key for closures.
 
     conway and jones_pair hold canonical coefficient tuples. For links the
@@ -155,9 +161,16 @@ class LinkSignature:
     plus the mirror pair.
     """
 
-    component_count: int
-    conway: tuple
-    jones_pair: tuple
+    __slots__ = ("component_count", "conway", "jones_pair")
+
+    def __init__(self, component_count: int, conway: tuple,
+                 jones_pair: tuple):
+        set_field(self, "component_count", component_count)
+        set_field(self, "conway", conway)
+        set_field(self, "jones_pair", jones_pair)
+
+    def _key(self):
+        return (self.component_count, self.conway, self.jones_pair)
 
     @property
     def conway_degree(self):
@@ -240,4 +253,4 @@ def verify_entry(entry: ReferenceEntry):
             detail = f"seifert route disagrees: {surf} vs {published}"
         else:
             detail = "burau and seifert match published"
-    return replace(entry, verified=ok), detail
+    return ReferenceEntry(entry.name, w, ok, published, entry.note), detail

@@ -20,16 +20,15 @@ connected word with n <= 4, m <= 8, and against Burau on mixed-sign words
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .polynomials import (ConwayPolynomial, LaurentPolynomial, alexander_sign,
                           pencil_det, transpose, z_extract)
+from .record import Record, set_field
 from .words import BraidWord, letter_counts, require_connected
 
 
-@dataclass(frozen=True)
-class BraidedSurface:
+class BraidedSurface(Record):
     """Disks-and-bands surface of a braid word.
 
     bands follow the letter order of the word; entry (i, j, s) is the j-th
@@ -38,22 +37,35 @@ class BraidedSurface:
     band j and returning through band j+1.
     """
 
-    word: BraidWord
-    bands: tuple
-    basis_loops: tuple
+    __slots__ = ("word", "bands", "basis_loops")
+
+    def __init__(self, word: BraidWord, bands: tuple, basis_loops: tuple):
+        set_field(self, "word", word)
+        set_field(self, "bands", bands)
+        set_field(self, "basis_loops", basis_loops)
+
+    def _key(self):
+        return (self.word, self.bands, self.basis_loops)
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Integer Seifert matrix indexed by the surface's basis loops.
 
     band_order lists the loop indices by the word position of each loop's
-    first band. Only symmetrized_det reads it.
+    first band. Only symmetrized_det reads it, so it is left out of
+    equality and the hash. The instance __dict__ holds the two cached
+    values.
     """
 
-    entries: tuple
-    loops: tuple
-    band_order: tuple = field(compare=False)
+    __slots__ = ("entries", "loops", "band_order", "__dict__")
+
+    def __init__(self, entries: tuple, loops: tuple, band_order: tuple):
+        set_field(self, "entries", entries)
+        set_field(self, "loops", loops)
+        set_field(self, "band_order", band_order)
+
+    def _key(self):
+        return (self.entries, self.loops)
 
     @property
     def dimension(self):

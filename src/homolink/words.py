@@ -21,33 +21,35 @@ DisconnectedWordError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (BraidSyntaxError, DisconnectedWordError,
                      InhomogeneousWordError)
+from .record import Record, set_field
 
 
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """Immutable braid word: strand count n and signed letter tuple."""
 
-    strands: int
-    letters: tuple = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise BraidSyntaxError(f"strand count must be >= 1, got {self.strands}")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, strands: int, letters: tuple = ()):
+        if strands < 1:
+            raise BraidSyntaxError(f"strand count must be >= 1, got {strands}")
+        letters = tuple(letters)
         for x in letters:
             if x == 0:
                 raise BraidSyntaxError("letter 0 is not a generator")
-            if abs(x) > self.strands - 1:
+            if abs(x) > strands - 1:
                 raise BraidSyntaxError(
-                    f"letter {x} out of range for {self.strands} strands")
+                    f"letter {x} out of range for {strands} strands")
+        set_field(self, "strands", strands)
+        set_field(self, "letters", letters)
+
+    def _key(self):
+        return (self.strands, self.letters)
 
     def __str__(self):
         return f"{word_text(self) or '(empty)'} on {self.strands} strands"

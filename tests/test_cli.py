@@ -18,7 +18,7 @@ from homolink.cli import (
     main,
 )
 from homolink.enumeration import bound_p
-from homolink.reference import entry_to_json
+from homolink.reference import ReferenceEntry, entry_to_json
 
 
 def run(capsys, *argv):
@@ -363,10 +363,11 @@ def test_analyze_and_monodromy_refuse_alike(capsys, cmd, argv, code, err):
 
 
 def test_table_defect_is_one_line_and_exit_2(capsys, monkeypatch):
-    from dataclasses import replace
     hopf = find_entry("hopf")
+    hopf_2 = ReferenceEntry("hopf_2", hopf.word, hopf.verified,
+                            hopf.published_alexander, hopf.note)
     monkeypatch.setattr("homolink.reference.load_reference_table",
-                        lambda path=None: [hopf, replace(hopf, name="hopf_2")])
+                        lambda path=None: [hopf, hopf_2])
     assert run(capsys, "enumerate", "--degree", "1") == (
         EXIT_PARSE, "",
         "table defect: reference entries hopf and hopf_2 share a signature; "

@@ -28,6 +28,7 @@ from homolink.enumeration import (
     _sign_choices,
 )
 from homolink.errors import CapExceededError
+from homolink.reference import ReferenceEntry
 from homolink.words import (BraidWord, component_count, connected,
                             is_homogeneous, parse_word, weak_indices)
 
@@ -611,8 +612,9 @@ def test_membership():
 
 
 def test_membership_requires_verified_entry():
-    from dataclasses import replace
-    bad = replace(find_entry("3_1"), verified=False)
+    good = find_entry("3_1")
+    bad = ReferenceEntry(good.name, good.word, False,
+                         good.published_alexander, good.note)
     with pytest.raises(ValueError):
         check_membership(bad, SearchSpace(genus=1))
 

@@ -272,6 +272,47 @@ def test_laurent_wrapper():
     assert "t^(1/2)" in text and "t^(-1/2)" in text
 
 
+def fraction_text(p):
+    """The printer as it was written with Fraction exponents, kept as the
+    reference for the gcd-based one."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for e, c in sorted(p.coeffs, reverse=True):
+        mag = abs(c)
+        ex = Fraction(e, p.scale)
+        if ex == 0:
+            body = str(mag)
+        else:
+            var = (p.var if ex == 1 else f"{p.var}^({ex})"
+                   if ex.denominator > 1 else f"{p.var}^{ex}")
+            body = var if mag == 1 else f"{mag}*{var}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    head = parts[0]
+    head = head[2:] if head.startswith("+ ") else "-" + head[2:]
+    return " ".join([head] + parts[1:])
+
+
+def test_printer_matches_fraction_reference():
+    values = []
+    for scale in (1, 2, 4):
+        for c in (1, -1, 7, -7):
+            values += [LaurentPolynomial(scale, ((e, c),))
+                       for e in range(-40, 41)]
+            values.append(LaurentPolynomial.from_dict(
+                {e: c * (-1) ** e for e in range(-40, 41)}, scale))
+    for c in (1, -1, 7, -7):
+        values += [ConwayPolynomial(((e, c),)) for e in range(41)]
+        values.append(ConwayPolynomial.from_dict(
+            {e: c * (-1) ** e for e in range(41)}))
+    values += [LaurentPolynomial(4, ()), ConwayPolynomial()]
+    texts = [str(p) for p in values]
+    assert texts == [fraction_text(p) for p in values]
+    terms = {t for text in texts for t in text.split()}
+    assert {"t", "t^-1", "t^(1/2)", "t^(-3/4)", "z^3", "-7*t^(-39/4)",
+            "0"} <= terms
+
+
 def test_laurent_rescale():
     p = LaurentPolynomial.from_dict({1: 1}, scale=2)
     q = p.rescaled(4)

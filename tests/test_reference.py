@@ -1,7 +1,6 @@
 """Shipped reference table: loading, verification, defect detection."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -10,6 +9,7 @@ from homolink.enumeration import SearchSpace, classify
 from homolink.errors import TableDefectError
 from homolink.polynomials import LaurentPolynomial
 from homolink.reference import (
+    ReferenceEntry,
     entry_signature,
     entry_to_json,
     load_reference_table,
@@ -54,15 +54,17 @@ def test_verify_entry_detail_mentions_both_routes():
 
 def test_verify_entry_flags_wrong_value():
     entry = find_entry("3_1")
-    wrong = replace(entry, word=parse_word("1 1 1 1 1"))
+    wrong = ReferenceEntry(entry.name, parse_word("1 1 1 1 1"), entry.verified,
+                           entry.published_alexander, entry.note)
     new, detail = verify_entry(wrong)
     assert not new.verified
     assert "disagrees" in detail
     # the right coefficients at scale 3, t^(2/3) - 1 + t^(-2/3), are a
     # different polynomial
     pub = entry.published_alexander
-    new, detail = verify_entry(replace(
-        entry, published_alexander=LaurentPolynomial(3, pub.coeffs)))
+    new, detail = verify_entry(ReferenceEntry(
+        entry.name, entry.word, entry.verified,
+        LaurentPolynomial(3, pub.coeffs), entry.note))
     assert not new.verified
     assert "t^(2/3)" in detail
 
@@ -184,7 +186,8 @@ def test_entry_signature_matches_word_signature():
 
 def test_duplicate_signatures_abort_classification(monkeypatch):
     tref = find_entry("3_1")
-    twin = replace(tref, name="3_1_copy")
+    twin = ReferenceEntry("3_1_copy", tref.word, tref.verified,
+                          tref.published_alexander, tref.note)
     monkeypatch.setattr("homolink.reference.load_reference_table",
                         lambda path=None: [tref, twin])
     with pytest.raises(TableDefectError):
@@ -193,7 +196,8 @@ def test_duplicate_signatures_abort_classification(monkeypatch):
 
 def test_unverified_entries_is_skipped_with_note(monkeypatch):
     tref = find_entry("3_1")
-    off = replace(tref, verified=False)
+    off = ReferenceEntry(tref.name, tref.word, False,
+                         tref.published_alexander, tref.note)
     monkeypatch.setattr("homolink.reference.load_reference_table",
                         lambda path=None: [off])
     report = classify(SearchSpace(degree=1))

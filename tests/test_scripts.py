@@ -137,7 +137,7 @@ def _unread(statements, skip):
         dead = defined - read
     attributes = {node.attr for _, top in live for node in ast.walk(top)
                   if isinstance(node, ast.Attribute)}
-    # dunders are exempt, and dataclass fields are not functions
+    # dunders are exempt, and record fields are not functions
     members = {f"{top.name}.{node.name}" for _, top in live
                if isinstance(top, ast.ClassDef) for node in top.body
                if isinstance(node, ast.FunctionDef)
