@@ -26,8 +26,7 @@ from .monodromy import (HomologyAction, action_of_word, char_poly,
                         monodromy_order_bound, twist_sequence)
 from .enumeration import (ClassificationReport, LinkClass, SearchSpace,
                           bound_n, bound_p, classify, enumerate_words,
-                          orbit_canonical, report_to_csv, report_to_json,
-                          symmetry_reduce, words_with_counts)
+                          report_to_csv, report_to_json, symmetry_reduce)
 from .reference import (LinkSignature, ReferenceEntry, entry_signature,
                         link_signature, load_reference_table, verify_entry,
                         write_table)
@@ -52,8 +51,7 @@ __all__ = [
     "twist_sequence",
     "ClassificationReport", "LinkClass", "LinkSignature", "SearchSpace",
     "bound_n", "bound_p", "classify", "enumerate_words",
-    "link_signature", "orbit_canonical", "report_to_csv", "report_to_json",
-    "symmetry_reduce", "words_with_counts",
+    "link_signature", "report_to_csv", "report_to_json", "symmetry_reduce",
     "ReferenceEntry", "entry_signature", "load_reference_table",
     "verify_entry", "write_table",
     "__version__",

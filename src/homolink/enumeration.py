@@ -13,9 +13,9 @@ with every sign choice (the raw count the paper's bounds speak of).
 It and symmetry_reduce are the tests' oracles for _orbits; no command
 runs them. They stay here only while perfbench/tracing.py wraps them,
 and move to tests/oracles.py when the benchmark stops doing so (ROADMAP
-item 1). words_with_counts, which enumerate_words reads, and
-orbit_canonical, which symmetry_reduce reads, stay for
-scripts/calibrate_conventions.py, which imports them.
+item 1). Their helpers words_with_counts, which enumerate_words reads,
+and orbit_canonical, which symmetry_reduce reads, are not exported; the
+tests import them from this module.
 _orbits is the one orbit walk, and classify reads it: it starts from the
 column sequences that are least in their symmetry orbit, generated
 directly as the necklaces (least among their rotations) that no reversed
@@ -62,7 +62,8 @@ from functools import lru_cache
 from .errors import CapExceededError
 from .record import Record, set_field
 from .reference import LinkSignature, link_signature, signature_index
-from .words import BraidWord, component_count, word_text, word_to_json
+from .words import (BraidWord, component_count, min_rotation, word_text,
+                    word_to_json)
 
 # Largest Conway degree a search space may reach. Degree 6 (genus 3) has
 # 9,801,947 column sequences and cannot finish, so it is refused up front.
@@ -200,7 +201,7 @@ def words_with_counts(n: int, m: int):
     """All homogeneous connected non-weak words with exactly (n, m).
 
     Dresses each column sequence with all 2^(n-1) sign choices. No command
-    runs it: enumerate_words and scripts/calibrate_conventions.py read it.
+    runs it: enumerate_words reads it, and the tests.
     """
     return (BraidWord(n, tuple(c * signs[c - 1] for c in seq))
             for seq in _column_sequences(n, m) for signs in _sign_choices(n))
@@ -218,21 +219,14 @@ def enumerate_words(space: SearchSpace):
 
 def orbit_canonical(letters: tuple, n: int) -> tuple:
     """Lex-min letters over mirror, reversal, column flip and rotation of
-    the word letters on n strands.
+    the word letters on n strands: the least min_rotation of the eight
+    images; the empty word is its own.
 
-    The least of all those rotations starts with the least letter of the
-    eight images, so only the rotations starting there are compared. The
-    general form, for any word, mixed signs included: classify reads
-    _dressings instead, and symmetry_reduce and
-    scripts/calibrate_conventions.py read this.
+    The general form, for any word, mixed signs included: classify reads
+    _dressings instead, and symmetry_reduce and the tests read this.
     """
-    if not letters:
-        return letters
-    images = (_images(letters, n)
-              + _images(tuple(-x for x in letters), n))
-    low = min(map(min, images))
-    return min(t[k:] + t[:k] for t in images
-               for k, x in enumerate(t) if x == low)
+    mirror = tuple(-x for x in letters)
+    return min(map(min_rotation, _images(letters, n) + _images(mirror, n)))
 
 
 def symmetry_reduce(words) -> list:

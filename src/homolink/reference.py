@@ -103,19 +103,26 @@ def table_rows(text):
 
 
 def load_reference_table(path=None) -> list:
-    """All entries from the given JSONL file, or the shipped table."""
+    """All entries from the given JSONL file, read on every call, or from
+    the shipped table, parsed once per process; a new list each call."""
     if path is None:
-        text = (resources.files("homolink") / "reference_table.jsonl"
-                ).read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    entries = []
+        return list(_shipped_entries())
+    with open(path, encoding="utf-8") as fh:
+        return list(_entries(fh.read()))
+
+
+@lru_cache(maxsize=1)
+def _shipped_entries() -> tuple:
+    return tuple(_entries((resources.files("homolink") / "reference_table.jsonl"
+                           ).read_text(encoding="utf-8")))
+
+
+def _entries(text):
+    """The entries of a JSONL table; a bad line raises ValueError."""
     for ln, row in table_rows(text):
         if isinstance(row, Exception):
             raise ValueError(f"reference table line {ln}: {row}") from row
-        entries.append(row)
-    return entries
+        yield row
 
 
 def write_text(text, path):

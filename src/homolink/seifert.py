@@ -13,8 +13,10 @@ Sign conventions (push-off side, twist handedness) are not forced by the
 combinatorics. The constants below were calibrated so the determinant
 agrees with the skein route on sigma_1^2 and sigma_1^3, then the whole
 rule set was validated against the skein route on every homogeneous
-connected word with n <= 4, m <= 8, and against Burau on mixed-sign words
-(scripts/calibrate_conventions.py). Do not edit one constant in isolation.
+connected word with n <= 4, m <= 8, and against Burau on mixed-sign words.
+tests/test_seifert.py re-runs that scan over all 512 candidate
+assignments at n <= 3, m <= 5 and pins the eight that survive, the
+shipped one among them. Do not edit one constant in isolation.
 """
 
 from __future__ import annotations

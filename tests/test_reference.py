@@ -90,6 +90,19 @@ def test_write_table_round_trip(tmp_path, reference_entries):
     write_table(reference_entries, path)
     again = load_reference_table(path)
     assert again == reference_entries
+    # a table path is read again on every call
+    write_table(reference_entries[:1], path)
+    assert load_reference_table(path) == reference_entries[:1]
+
+
+def test_shipped_table_is_parsed_once_and_each_call_gets_its_own_list(
+        monkeypatch):
+    first = load_reference_table()
+    names = [entry.name for entry in first]
+    first.clear()
+    # the warm call parses nothing
+    monkeypatch.setattr("homolink.reference.table_rows", None)
+    assert [entry.name for entry in load_reference_table()] == names
 
 
 def test_load_reports_malformed_line(tmp_path):

@@ -1,64 +1,40 @@
-"""Smoke runs of the scripts under scripts/, so they do not rot."""
+"""The package's one front end and its export guard: every definition is
+read by live package code, or allowlisted with a reader outside the tests."""
 
 import ast
-import re
-import runpy
 from pathlib import Path
 
 import homolink
 from test_perfbench_names import load_tracing, worker_reads
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
-
-
-def load(name):
-    # run_path does not set __name__ to "__main__", so main() is not called
-    return runpy.run_path(str(SCRIPTS / f"{name}.py"))
-
-
-def test_calibrate_conventions_keeps_the_shipped_constants(capsys):
-    script = load("calibrate_conventions")
-    assert script["main"](["--max-n", "3", "--max-m", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "8 survive the full range" in out
-    assert out.count("<- shipped") == 1
 
 
 def test_no_second_front_end():
-    # the CLI alone verifies the table and writes the reports, and the
-    # report-file format (json.dumps with indent=) lives only in cli.py
-    calls = re.compile(r"\b(verify_entry|classify|report_to_json|"
-                       r"report_to_csv|write_text)\(")
-    scripts = sorted(SCRIPTS.glob("*.py"))
-    for path in scripts:
-        assert not calls.search(path.read_text(encoding="utf-8")), path.name
+    # the report-file format (json.dumps with indent=) lives only in cli.py
     package = sorted(Path(homolink.__file__).parent.glob("*.py"))
-    assert {path.name for path in scripts + package
+    assert {path.name for path in package
             if "indent=" in path.read_text(encoding="utf-8")} == {"cli.py"}
 
 
 # exported names that no module of the package reads, each a test oracle or
-# a seam that perfbench/ or scripts/ reads, with that reader; the oracles
-# move to tests/oracles.py once perfbench/ stops reading them
+# a seam that perfbench/ reads, with that reader; the oracles move to
+# tests/oracles.py once perfbench/ stops reading them
 ORACLES_AND_SEAMS = {
     "jones_kauffman": "brute-force state sum, the tests' second Jones route; "
                       "perfbench/tracing.py wraps it",
     "enumerate_words": "raw word stream, the oracle for classify's orbit "
                        "walk; perfbench/tracing.py streams it",
-    "words_with_counts": "raw words of one (n, m); "
-                         "scripts/calibrate_conventions.py imports it",
     "action_of_word": "twist-route action in one call; perfbench/worker.py "
                       "and perfbench/tracing.py read it",
     "symmetry_reduce": "orbit reduction of any word stream, the oracle for "
                        "classify's orbits; perfbench/tracing.py wraps it",
-    "orbit_canonical": "orbit canonical form of any word, mixed signs "
-                       "included; scripts/calibrate_conventions.py imports "
-                       "it and symmetry_reduce reads it",
 }
 
-# unexported definitions that only the oracles above read
-ORACLE_HELPERS = {"_column_sequences", "_UnionFind", "_CIRCLE", "add"}
+# unexported definitions that only the oracles above read, directly or
+# through one another
+ORACLE_HELPERS = {"words_with_counts", "_column_sequences", "orbit_canonical",
+                  "_UnionFind", "_CIRCLE", "add"}
 
 # unexported definitions that no module of the package reads, kept so that
 # a reader outside the tests still resolves them, with that reader
@@ -156,31 +132,25 @@ def test_package_exports_what_the_program_runs():
     assert exported & unread == ORACLES_AND_SEAMS.keys()
     assert unread == (ORACLES_AND_SEAMS.keys() | TRACED_SEAMS.keys()
                       | ORACLE_HELPERS)
-    oracles = [st for st in statements if _own_keys(*st) & skip]
-    scopes = _scopes(statements)
-    assert ORACLE_HELPERS <= {name for st in oracles
-                              for _, name in _reads(*st, scopes)}
+    # once a statement reads each oracle, every helper is live: an oracle
+    # reaches it, directly or through other helpers
+    readers = [(module, ast.parse(name).body[0]) for module, name in skip]
+    assert _unread(statements + readers, set()) == TRACED_SEAMS.keys()
 
 
 def _outside_reads():
-    """The package names that perfbench/ and scripts/ read: the traced
-    boundaries and stream, the worker's attribute paths and the names the
-    scripts import. The files are read, not changed."""
+    """The package names that perfbench/ reads: the traced boundaries and
+    stream and the worker's attribute paths. The files are read, not
+    changed."""
     tracing = load_tracing()
     names = {attr for _, attr, _ in tracing.BOUNDARIES} | {tracing.STREAM[1]}
-    names |= {path[-1] for path in worker_reads()}
-    for path in SCRIPTS.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.ImportFrom)
-                    and (node.module or "").startswith("homolink")):
-                names |= {alias.name for alias in node.names}
-    return names
+    return names | {path[-1] for path in worker_reads()}
 
 
 def test_every_allowlisted_name_has_a_reader_outside_the_tests():
-    # an oracle that perfbench/ and scripts/ stop reading is named here, to
-    # move to tests/oracles.py; test_package_exports_what_the_program_runs
-    # holds each helper to reads by these names alone
+    # an oracle that perfbench/ stops reading is named here, to move to
+    # tests/oracles.py; test_package_exports_what_the_program_runs holds
+    # each helper to reads by these names alone
     allowed = ORACLES_AND_SEAMS.keys() | TRACED_SEAMS.keys()
     assert allowed - _outside_reads() == set()
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 from math import isqrt
 
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from conftest import (any_words, basis_order_matrix, homogeneous_connected,
 from homolink.burau import alexander_via_burau
 from homolink import seifert
 from homolink.cli import main
+from homolink.enumeration import orbit_canonical, words_with_counts
 from homolink.polynomials import (LaurentPolynomial, det, equal_up_to_unit,
                                   pencil_det)
 from homolink.seifert import (
@@ -20,7 +22,8 @@ from homolink.seifert import (
     seifert_matrix,
 )
 from homolink.skein import conway_skein
-from homolink.words import BraidWord, component_count, connected, parse_word
+from homolink.words import (BraidWord, component_count, connected,
+                            is_homogeneous, parse_word)
 
 
 def test_surface_shape_trefoil():
@@ -164,6 +167,65 @@ def test_surface_route_matches_burau(w):
     assume(connected(w.letters, w.strands))
     V = seifert_matrix(build_surface(w))
     assert alexander_from_seifert(V) == alexander_via_burau(w)
+
+
+CONVENTIONS = ("_SELF", "_SAME_COL_POS", "_SAME_COL_NEG", "_CROSS_OPEN",
+               "_CROSS_CLOSE")
+# the last two seeds alone cut the 256 survivors of the first five to the
+# final eight
+CONVENTION_SEEDS = ("1 1", "1 1 1", "-1 -1 -1", "1 1 2 2", "1 -2 1 -2",
+                    "1 -2 1 -2 1 -2", "1 -2 1 1 -2 1")
+# transposing V, or flipping the signs of both off-diagonal contributions,
+# leaves the symmetrized determinant alone
+SURVIVING_CONVENTIONS = {
+    (1, same_col_pos, same_col_neg, cross_open, cross_close)
+    for same_col_pos, same_col_neg in [((0, -1), (1, 0)), ((-1, 0), (0, 1))]
+    for cross_open, cross_close in [((0, 1), (0, -1)), ((0, -1), (0, 1)),
+                                    ((1, 0), (-1, 0)), ((-1, 0), (1, 0))]}
+
+
+def test_linking_conventions_are_the_ones_the_other_routes_allow(
+        monkeypatch):
+    # the five constants of seifert are not forced by the combinatorics, so
+    # every assignment of them is scanned: those whose Conway matches the
+    # skein route on the seeds and on every homogeneous connected non-weak
+    # word with n <= 3, m <= 5, and whose Alexander matches Burau on one
+    # mixed-sign word per symmetry orbit of those words' sequences
+    shipped = tuple(getattr(seifert, name) for name in CONVENTIONS)
+    pairs = ((0, 1), (0, -1), (1, 0), (-1, 0))
+    candidates = [(self_sign,) + rules for self_sign in (1, -1)
+                  for rules in itertools.product(pairs, repeat=4)]
+    homogeneous = [w for n in (2, 3) for m in range(2 * (n - 1), 6)
+                   for w in words_with_counts(n, m)]
+    mixed = [BraidWord(w.strands, letters) for w in homogeneous
+             if min(w.letters) > 0
+             for signs in itertools.product((1, -1), repeat=len(w.letters))
+             for letters in [tuple(map(operator.mul, signs, w.letters))]
+             if orbit_canonical(letters, w.strands) == letters
+             and not is_homogeneous(BraidWord(w.strands, letters))]
+    assert (len(candidates), len(homogeneous), len(mixed)) == (512, 112, 29)
+
+    def survivors(candidates, words, route, invariant):
+        cases = [(build_surface(w), route(w)) for w in words]
+        kept = []
+        for consts in candidates:
+            for name, value in zip(CONVENTIONS, consts):
+                monkeypatch.setattr(seifert, name, value)
+            try:
+                if all(invariant(seifert_matrix(s)) == want
+                       for s, want in cases):
+                    kept.append(consts)
+            except RuntimeError:
+                pass    # the determinant is not a polynomial in x - 1/x
+        return kept
+
+    seeds = [parse_word(text) for text in CONVENTION_SEEDS]
+    kept = survivors(candidates, seeds, conway_skein, conway_from_seifert)
+    assert set(kept) == SURVIVING_CONVENTIONS
+    kept = survivors(kept, homogeneous, conway_skein, conway_from_seifert)
+    kept = survivors(kept, mixed, alexander_via_burau, alexander_from_seifert)
+    assert set(kept) == SURVIVING_CONVENTIONS
+    assert shipped in SURVIVING_CONVENTIONS
 
 
 @given(any_words(max_n=7, max_m=30))
